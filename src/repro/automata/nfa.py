@@ -12,7 +12,6 @@ from collections import deque
 
 from repro import cache as _cache
 from repro import faults as _faults
-from repro import kernels as _kernels
 from repro.errors import ResourceLimit, SolverError
 from repro.obs import current_metrics
 
@@ -220,28 +219,33 @@ class NFA:
         cached = _DETERMINIZE_CACHE.get(key)
         if cached is not _cache.MISSING:
             return cached
-        if _kernels.active() == _kernels.PACKED:
-            # The bitset construction explores in the identical order,
-            # so the result (and hence the cache entry) is structurally
-            # the same NFA the pure loop below would build.
-            from repro.kernels.automata import determinize_packed
-            num_states, transitions, finals = determinize_packed(
-                base, alphabet, deadline)
-            metrics = current_metrics()
-            if metrics.enabled:
-                metrics.observe("nfa.determinize_states", num_states)
-            result = NFA(num_states, transitions, 0, finals)
-            _DETERMINIZE_CACHE.put(key, result)
-            return result
-        start = frozenset([base.initial])
+        # A subset of NFA states is one int bitmask; the successor set
+        # under a symbol is an OR-fold of precomputed per-symbol
+        # successor masks over the set bits, so the inner loop is integer
+        # AND/OR/shift with no hashing of sets.
+        n = base.num_states
+        sym_index = {sym: i for i, sym in enumerate(alphabet)}
+        # succ[si][s] = bitmask of states reachable from s on alphabet[si].
+        succ = [[0] * n for _ in alphabet]
+        for s in range(n):
+            for sym, t in base._adj[s]:
+                si = sym_index.get(sym)
+                if si is not None:
+                    succ[si][s] |= 1 << t
+        final_mask = 0
+        for f in base.finals:
+            final_mask |= 1 << f
+
+        start = 1 << base.initial
         index = {start: 0}
-        worklist = deque([start])
+        order = [start]
         transitions = []
         finals = set()
         state_limit = None if deadline is None \
             else deadline.automata_state_limit
         steps = 0
-        while worklist:
+        head = 0
+        while head < len(order):
             steps += 1
             if deadline is not None:
                 # The state guard is exact (an inline compare per state,
@@ -252,17 +256,24 @@ class NFA:
                 if not steps & 63 and deadline.expired():
                     raise ResourceLimit("determinization hit the deadline",
                                         reason="deadline")
-            current = worklist.popleft()
-            ci = index[current]
-            if current & base.finals:
+            current = order[head]
+            ci = head
+            head += 1
+            if current & final_mask:
                 finals.add(ci)
-            for sym in alphabet:
-                nxt = frozenset(t for s in current
-                                for a, t in base._adj[s] if a == sym)
-                if nxt not in index:
-                    index[nxt] = len(index)
-                    worklist.append(nxt)
-                transitions.append((ci, sym, index[nxt]))
+            for si, sym in enumerate(alphabet):
+                arr = succ[si]
+                nxt = 0
+                m = current
+                while m:
+                    low = m & -m
+                    nxt |= arr[low.bit_length() - 1]
+                    m ^= low
+                ni = index.get(nxt)
+                if ni is None:
+                    ni = index[nxt] = len(index)
+                    order.append(nxt)
+                transitions.append((ci, sym, ni))
         metrics = current_metrics()
         if metrics.enabled:
             metrics.observe("nfa.determinize_states", len(index))
@@ -293,34 +304,39 @@ class NFA:
         cached = _INTERSECT_CACHE.get(key)
         if cached is not _cache.MISSING:
             return cached
-        if _kernels.active() == _kernels.PACKED:
-            from repro.kernels.automata import intersect_packed
-            num_states, transitions, finals = intersect_packed(a, b, deadline)
-            metrics = current_metrics()
-            if metrics.enabled:
-                metrics.observe("nfa.product_states", num_states)
-            if not num_states:
-                result = NFA.empty()
-            else:
-                result = NFA(num_states, transitions, 0, finals).trim()
-            _INTERSECT_CACHE.put(key, result)
-            return result
-        index = {}
+        # Product states are single int pair codes (p * nb + q) and
+        # symbols are interned to small ints.  Symbols of `b` that never
+        # occur in `a` can never fire in the product, so they are
+        # dropped up front.
+        nb = b.num_states
+        sym_ids = {}
+        syms = []
+        a_adj = []
+        for p in range(a.num_states):
+            row = []
+            for sym, t in a._adj[p]:
+                si = sym_ids.get(sym)
+                if si is None:
+                    si = sym_ids[sym] = len(syms)
+                    syms.append(sym)
+                row.append((si, t))
+            a_adj.append(row)
+        b_by = [None] * nb
+        for q in range(nb):
+            d = {}
+            for sym, t in b._adj[q]:
+                si = sym_ids.get(sym)
+                if si is not None:
+                    d.setdefault(si, []).append(t)
+            b_by[q] = d
+
+        a_finals = a.finals
+        b_finals = b.finals
+        start_code = a.initial * nb + b.initial
+        index = {start_code: 0}
         transitions = []
         finals = []
-
-        def state_of(p, q):
-            if (p, q) not in index:
-                index[(p, q)] = len(index)
-            return index[(p, q)]
-
-        start = state_of(a.initial, b.initial)
-        worklist = deque([(a.initial, b.initial)])
-        visited = {(a.initial, b.initial)}
-        b_by_sym = [dict() for _ in range(b.num_states)]
-        for s in range(b.num_states):
-            for sym, t in b._adj[s]:
-                b_by_sym[s].setdefault(sym, []).append(t)
+        worklist = deque([start_code])
         state_limit = None if deadline is None \
             else deadline.automata_state_limit
         steps = 0
@@ -333,23 +349,28 @@ class NFA:
                     raise ResourceLimit(
                         "product construction hit the deadline",
                         reason="deadline")
-            p, q = worklist.popleft()
-            if p in a.finals and q in b.finals:
-                finals.append(index[(p, q)])
-            for sym, pt in a._adj[p]:
-                for qt in b_by_sym[q].get(sym, ()):
-                    if (pt, qt) not in visited:
-                        visited.add((pt, qt))
-                        state_of(pt, qt)
-                        worklist.append((pt, qt))
-                    transitions.append((index[(p, q)], sym, index[(pt, qt)]))
+            code = worklist.popleft()
+            p, q = divmod(code, nb)
+            src = index[code]
+            if p in a_finals and q in b_finals:
+                finals.append(src)
+            bq = b_by[q]
+            for si, pt in a_adj[p]:
+                qts = bq.get(si)
+                if qts:
+                    base_pt = pt * nb
+                    sym = syms[si]
+                    for qt in qts:
+                        tcode = base_pt + qt
+                        ti = index.get(tcode)
+                        if ti is None:
+                            ti = index[tcode] = len(index)
+                            worklist.append(tcode)
+                        transitions.append((src, sym, ti))
         metrics = current_metrics()
         if metrics.enabled:
             metrics.observe("nfa.product_states", len(index))
-        if not index:
-            result = NFA.empty()
-        else:
-            result = NFA(len(index), transitions, start, finals).trim()
+        result = NFA(len(index), transitions, 0, finals).trim()
         _INTERSECT_CACHE.put(key, result)
         return result
 

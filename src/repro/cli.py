@@ -97,6 +97,7 @@ from repro import faults
 from repro.baselines import EnumerativeSolver, SplittingSolver
 from repro.config import SolverConfig
 from repro.core.solver import TrauSolver
+from repro.errors import ParseError, UnsupportedConstraint
 from repro.obs import Metrics, Tracer, dump_jsonl, render_report, scope
 from repro.smtlib import load_problem
 from repro.smtlib.printer import _escape
@@ -142,13 +143,12 @@ def _add_budget_arguments(parser):
                              "and determinizations")
 
 
-def _add_backend_argument(parser):
-    parser.add_argument("--backend", choices=("auto", "pure", "packed"),
-                        default=None,
-                        help="kernel backend for the hot loops (SAT, "
-                             "simplex, automata products); auto picks "
-                             "packed when importable, honouring the "
-                             "REPRO_BACKEND environment variable")
+def _error_exit(exc):
+    """Report an unreadable or unparsable input file, or an unwritable
+    output path, on one stderr line.  Exit status 2, as argparse uses for
+    bad arguments, keeps it apart from 1 (an expected-status mismatch)."""
+    print("repro: error: %s" % exc, file=sys.stderr)
+    return 2
 
 
 def _add_store_argument(parser):
@@ -171,8 +171,6 @@ def _build_config(args):
         kwargs["store_path"] = args.store
     if getattr(args, "no_cache", False):
         kwargs.update(use_caches=False, use_incremental=False)
-    if getattr(args, "backend", None):
-        kwargs["backend"] = args.backend
     if args.max_bb_nodes is not None:
         kwargs["bb_node_limit"] = args.max_bb_nodes
     if args.max_smt_iterations is not None:
@@ -229,7 +227,6 @@ def main(argv=None):
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the memoization caches and "
                              "cross-round incremental solving")
-    _add_backend_argument(parser)
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],
@@ -240,8 +237,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     faults.arm_from_env()
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-    script = load_problem(text)
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file) as handle:
+                text = handle.read()
+    except OSError as exc:
+        return _error_exit(exc)
+    try:
+        script = load_problem(text)
+    except (ParseError, UnsupportedConstraint) as exc:
+        return _error_exit(exc)
     if args.solver == "pfa":
         solver = TrauSolver(config=_build_config(args))
     else:
@@ -276,8 +283,11 @@ def main(argv=None):
         if args.trace_json == "-":
             dump_jsonl(tracer, metrics, sys.stdout)
         else:
-            with open(args.trace_json, "w") as handle:
-                dump_jsonl(tracer, metrics, handle)
+            try:
+                with open(args.trace_json, "w") as handle:
+                    dump_jsonl(tracer, metrics, handle)
+            except OSError as exc:
+                return _error_exit(exc)
     if script.expected and result.status in ("sat", "unsat") \
             and result.status != script.expected:
         print("; WARNING: expected status was %s" % script.expected)
@@ -363,7 +373,6 @@ def serve_batch(argv=None):
                         help="print serve spans and metrics after the run")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable caches/incremental in the workers")
-    _add_backend_argument(parser)
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],
@@ -378,11 +387,6 @@ def serve_batch(argv=None):
     from dataclasses import replace
 
     config = _build_config(args)
-    if args.backend:
-        # Workers follow their pickled config, but an explicit request
-        # also rides the environment so anything a worker re-spawns (or
-        # resolves outside a config scope) agrees with the parent.
-        os.environ["REPRO_BACKEND"] = args.backend
     portfolio = None
     if args.portfolio:
         portfolio = (PortfolioEntry("incremental", config),
@@ -606,13 +610,6 @@ def fuzz(argv=None):
     parser.add_argument("--no-metamorphic", action="store_true",
                         help="skip the satisfiability-preserving "
                              "transform checks")
-    parser.add_argument("--backend", choices=("auto", "pure", "packed",
-                                              "both"), default=None,
-                        help="kernel backend for the PFA engines; 'both' "
-                             "replaces the pipeline pair with a pinned "
-                             "pfa-pure/pfa-packed pair so every problem "
-                             "cross-checks the packed kernels against the "
-                             "reference implementations")
     parser.add_argument("--trace", action="store_true",
                         help="print the span tree and metrics after the "
                              "summary (fuzz.* counters and solver phase "
@@ -633,8 +630,7 @@ def fuzz(argv=None):
                        max_constraints=args.max_constraints,
                        lie_rate=args.lie_rate)
     driver = DifferentialDriver(config=config, timeout=args.timeout,
-                                metamorphic=not args.no_metamorphic,
-                                backend=args.backend)
+                                metamorphic=not args.no_metamorphic)
     observing = args.trace or args.metrics_out
     tracer = Tracer() if observing else None
     metrics = Metrics() if observing else None
@@ -750,7 +746,6 @@ def netserve(argv=None):
                         help="per-request flight-recorder dumps")
     parser.add_argument("--slo", type=float, default=None, metavar="S",
                         help="latency SLO arming the flight recorder")
-    _add_backend_argument(parser)
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],
@@ -827,7 +822,6 @@ def selfcheck(argv=None):
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the memoization caches and "
                              "cross-round incremental solving")
-    _add_backend_argument(parser)
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],
@@ -843,7 +837,6 @@ def selfcheck(argv=None):
     faults.arm_from_env()
     config = _build_config(args)
     failures = 0
-    backends = set()
     for name, problem, expected in _selfcheck_problems():
         tracer = Tracer() if args.trace else None
         metrics = Metrics() if args.trace else None
@@ -851,7 +844,6 @@ def selfcheck(argv=None):
             result = TrauSolver(config=config).solve(
                 problem, timeout=args.timeout)
         stats = result.stats
-        backends.add(stats.get("backend", "?"))
         reason = stats.get("budget_tripped") or stats.get("stopped_by")
         ok = result.status == expected
         note = ""
@@ -867,9 +859,8 @@ def selfcheck(argv=None):
                  stats.get("elapsed_s", 0.0), note))
         if args.trace:
             _print_trace(tracer, metrics)
-    print("selfcheck: %s  [backend=%s]"
-          % ("ok" if failures == 0 else "%d failure(s)" % failures,
-             ",".join(sorted(backends))))
+    print("selfcheck: %s"
+          % ("ok" if failures == 0 else "%d failure(s)" % failures))
     return 0 if failures == 0 else 1
 
 

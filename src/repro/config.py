@@ -146,10 +146,6 @@ class SolverConfig:
     # Fault-injection specs armed for the duration of each solve call
     # (e.g. ("cache.lookup:raise:after=2",)); see repro.faults.
     fault_specs: tuple = ()
-    # Kernel backend for the SAT/simplex/automata inner loops:
-    # "pure" (object graphs), "packed" (flat arrays, repro.kernels), or
-    # "auto" (REPRO_BACKEND env var, else packed when available).
-    backend: str = "auto"
     # Directory of the crash-safe persistent store (repro.store), shared
     # across worker boots; None falls back to the process default and
     # then $REPRO_STORE (see repro.store.active_store), unset disables.

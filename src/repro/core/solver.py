@@ -37,7 +37,6 @@ from dataclasses import replace
 
 from repro import cache as _cache
 from repro import faults as _faults
-from repro import kernels as _kernels
 from repro import store as _store
 from repro.alphabet import DEFAULT_ALPHABET
 from repro.config import DEFAULT_CONFIG
@@ -270,11 +269,9 @@ class TrauSolver:
             base,
             replace(base, use_incremental=False),
             replace(base, use_incremental=False, use_caches=False),
-            # The terminal rung also pins the pure backend, so a
-            # packed-kernel bug degrades away like any other subsystem.
             replace(base, use_incremental=False, use_caches=False,
                     use_presolve=False, use_overapproximation=False,
-                    use_static_analysis=False, backend="pure"),
+                    use_static_analysis=False),
         ]
         rungs = []
         seen = set()
@@ -295,21 +292,17 @@ class TrauSolver:
                 # an attributable UNKNOWN rather than a silent stall.
                 break
             try:
-                with _kernels.use_backend(config.backend) as backend:
-                    if metrics.enabled:
-                        metrics.add("solver.backend.%s" % backend)
-                    if config.use_caches:
+                if config.use_caches:
+                    result = self._solve(problem, budget, tracer,
+                                         metrics, config, store=store)
+                else:
+                    with _cache.disabled():
                         result = self._solve(problem, budget, tracer,
-                                             metrics, config, store=store)
-                    else:
-                        with _cache.disabled():
-                            result = self._solve(problem, budget, tracer,
-                                                 metrics, config)
-                result.stats["backend"] = backend
+                                             metrics, config)
             except ResourceLimit as exc:
                 # Budget exhaustion is not an internal failure; a retry
                 # would only burn more of the budget that just tripped.
-                stats = {"stopped_by": exc.reason, "backend": backend}
+                stats = {"stopped_by": exc.reason}
                 if degradations:
                     stats["degraded_to"] = rung
                     stats["degradations"] = degradations

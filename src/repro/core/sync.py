@@ -76,28 +76,45 @@ def asynchronous_product(pa_left, pa_right, deadline=None):
     the automata sizes, so *deadline* is checked per explored pair and
     :class:`~repro.errors.ResourceLimit` raised when the budget is gone.
     """
-    from repro import kernels as _kernels
-    if _kernels.active() == _kernels.PACKED:
-        from repro.kernels.automata import async_product_packed
-        num_states, transitions, finals = async_product_packed(
-            pa_left, pa_right,
-            lambda lv, rv: _compatible(pa_left, pa_right, lv, rv),
-            IDLE, deadline)
-        product = NFA(num_states, transitions, 0, finals)
-        return product.trim()
+    # Product states are single int pair codes (p * nr + q), and label
+    # compatibility depends only on the labels, so it is evaluated once
+    # per label pair up front and the BFS reads a flat bool table.
     left, right = pa_left.nfa, pa_right.nfa
-    start = (left.initial, pa_right.initial)
-    goal = (pa_left.final, pa_right.final)
-    index = {start: 0}
+    nr = right.num_states
+    lids = {}
+    llabels = []
+    ledges = []
+    for p in range(left.num_states):
+        row = []
+        for lv, pt in left.out_edges(p):
+            li = lids.get(lv)
+            if li is None:
+                li = lids[lv] = len(llabels)
+                llabels.append(lv)
+            row.append((li, lv, pt))
+        ledges.append(row)
+    rids = {}
+    rlabels = []
+    redges = []
+    for q in range(nr):
+        row = []
+        for rv, qt in right.out_edges(q):
+            ri = rids.get(rv)
+            if ri is None:
+                ri = rids[rv] = len(rlabels)
+                rlabels.append(rv)
+            row.append((ri, rv, qt))
+        redges.append(row)
+    comp = [[_compatible(pa_left, pa_right, lv, rv) for rv in rlabels]
+            for lv in llabels]
+    lidle = [_compatible(pa_left, pa_right, lv, IDLE) for lv in llabels]
+    ridle = [_compatible(pa_left, pa_right, IDLE, rv) for rv in rlabels]
+
+    start_code = left.initial * nr + pa_right.initial
+    goal_code = pa_left.final * nr + pa_right.final
+    index = {start_code: 0}
     transitions = []
-    worklist = deque([start])
-
-    def state_of(pair):
-        if pair not in index:
-            index[pair] = len(index)
-            worklist.append(pair)
-        return index[pair]
-
+    worklist = deque([start_code])
     state_limit = None if deadline is None else deadline.automata_state_limit
     steps = 0
     while worklist:
@@ -112,19 +129,38 @@ def asynchronous_product(pa_left, pa_right, deadline=None):
                 raise ResourceLimit(
                     "asynchronous product hit the deadline",
                     reason="deadline")
-        p, q = worklist.popleft()
-        src = index[(p, q)]
-        for lv, pt in left.out_edges(p):
-            for rv, qt in right.out_edges(q):
-                if _compatible(pa_left, pa_right, lv, rv):
-                    transitions.append((src, (lv, rv), state_of((pt, qt))))
-            if _compatible(pa_left, pa_right, lv, IDLE):
-                transitions.append((src, (lv, IDLE), state_of((pt, q))))
-        for rv, qt in right.out_edges(q):
-            if _compatible(pa_left, pa_right, IDLE, rv):
-                transitions.append((src, (IDLE, rv), state_of((p, qt))))
+        code = worklist.popleft()
+        p, q = divmod(code, nr)
+        src = index[code]
+        redgq = redges[q]
+        for li, lv, pt in ledges[p]:
+            crow = comp[li]
+            base_pt = pt * nr
+            for ri, rv, qt in redgq:
+                if crow[ri]:
+                    tcode = base_pt + qt
+                    ti = index.get(tcode)
+                    if ti is None:
+                        ti = index[tcode] = len(index)
+                        worklist.append(tcode)
+                    transitions.append((src, (lv, rv), ti))
+            if lidle[li]:
+                tcode = base_pt + q
+                ti = index.get(tcode)
+                if ti is None:
+                    ti = index[tcode] = len(index)
+                    worklist.append(tcode)
+                transitions.append((src, (lv, IDLE), ti))
+        for ri, rv, qt in redgq:
+            if ridle[ri]:
+                tcode = p * nr + qt
+                ti = index.get(tcode)
+                if ti is None:
+                    ti = index[tcode] = len(index)
+                    worklist.append(tcode)
+                transitions.append((src, (IDLE, rv), ti))
 
-    finals = [index[goal]] if goal in index else []
+    finals = [index[goal_code]] if goal_code in index else []
     product = NFA(len(index), transitions, 0, finals)
     return product.trim()
 

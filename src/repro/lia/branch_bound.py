@@ -29,9 +29,9 @@ integers).
 from math import floor, gcd
 
 from repro import faults as _faults
-from repro import kernels as _kernels
 from repro.config import Deadline
 from repro.errors import ResourceLimit
+from repro.lia.simplex import Simplex
 from repro.obs import current_metrics
 
 
@@ -66,7 +66,7 @@ class IntegerSolver:
     def __init__(self, node_limit=200000, deadline=None):
         self._node_limit = node_limit
         self._deadline = deadline or Deadline.unbounded()
-        self._simplex = _kernels.simplex_solver()
+        self._simplex = Simplex()
         self._slack_of = {}        # row signature -> (slack name, gcd)
         self._slack_counter = 0
         self._variables = set()

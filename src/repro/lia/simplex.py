@@ -9,9 +9,30 @@ once, up front; bounds are asserted and retracted incrementally between
 Each asserted bound carries an opaque *tag* (the SMT layer passes SAT
 literals).  Infeasibility produces the set of tags whose bounds participate
 in the conflict, which becomes a theory lemma.
+
+The tableau is laid out for speed:
+
+* **interned variables** — names are mapped to dense ints at
+  ``add_variable`` time, so the interned index *is* Bland's insertion
+  order and every per-variable lookup (value, bounds, columns) is a
+  list indexing instead of a string-keyed dict probe;
+* **integer rows** — a row is stored as integer numerators plus one
+  positive per-row denominator (``coeff = num/den``), so pivot
+  substitution is pure ``int`` multiply/add with a lazy gcd reduction,
+  never :class:`~fractions.Fraction` arithmetic;
+* **min-scan selection** — both the violated row and the entering
+  variable are single-pass minimum scans over interned indices, which
+  selects Bland's pivot without sorting the basic set or the row.
+
+Variable values are plain ints with :class:`~fractions.Fraction`
+fallback (callers branch on ``value.denominator``).  A per-row
+denominator also sidesteps fixed-width overflow entirely — ``toNum``
+rows carry coefficients like ``10**39``, which is why an int64/numpy
+fast path was measured and rejected.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from repro import faults as _faults
 from repro.errors import ResourceLimit, SolverError
@@ -42,25 +63,19 @@ def _exact_div(num, den):
     return _norm(num / den)
 
 
-class _Bound:
-    __slots__ = ("value", "tag")
-
-    def __init__(self, value, tag):
-        self.value = value
-        self.tag = tag
-
-
 class Simplex:
     """Feasibility of conjunctions of bounds over linear rows."""
 
     def __init__(self):
-        self._order = {}        # var -> insertion index (Bland's rule)
-        self._rows = {}         # basic var -> {nonbasic var: Fraction}
-        self._cols = {}         # var -> set of basic vars whose row uses it
-        self._value = {}        # var -> Fraction
-        self._lower = {}        # var -> _Bound
-        self._upper = {}        # var -> _Bound
-        self._trail = []        # (var, "lo"/"up", old _Bound or None)
+        self._order = {}        # var name -> interned index (Bland order)
+        self._names = []        # index -> var name
+        self._val = []          # index -> int | Fraction
+        self._low = []          # index -> (value, tag) or None
+        self._upp = []          # index -> (value, tag) or None
+        self._cols = []         # index -> set of basic indices using it
+        self._rows = {}         # basic index -> {var index: int numerator}
+        self._dens = {}         # basic index -> positive int denominator
+        self._trail = []        # (index, is_lower, old bound tuple or None)
         self._marks = []
         self.conflict = None    # list of tags after an unsat check
         self.pivots = 0         # lifetime pivot count (repro.obs reads it)
@@ -70,33 +85,50 @@ class Simplex:
     def add_variable(self, var):
         if var in self._order:
             return
-        self._order[var] = len(self._order)
-        self._value[var] = 0
-        self._cols.setdefault(var, set())
+        self._order[var] = len(self._names)
+        self._names.append(var)
+        self._val.append(0)
+        self._low.append(None)
+        self._upp.append(None)
+        self._cols.append(set())
 
     def define(self, slack, coeffs):
         """Introduce ``slack = sum coeffs[x] * x`` as a basic variable."""
         if slack in self._order:
             raise SolverError("variable %r already exists" % (slack,))
         self.add_variable(slack)
-        row = {}
+        acc = {}
         for x, c in coeffs.items():
             if c == 0:
                 continue
             if x not in self._order:
                 self.add_variable(x)
-            if x in self._rows:
+            xi = self._order[x]
+            if xi in self._rows:
                 # x is already basic: substitute its row.
-                for y, cy in self._rows[x].items():
-                    row[y] = row.get(y, 0) + c * cy
+                den = self._dens[xi]
+                for yi, num in self._rows[xi].items():
+                    acc[yi] = _norm(acc.get(yi, 0) + _exact_div(c * num, den))
             else:
-                row[x] = row.get(x, 0) + c
-        row = {x: _norm(c) for x, c in row.items() if c != 0}
-        self._rows[slack] = row
-        for x in row:
-            self._cols[x].add(slack)
-        self._value[slack] = _norm(sum(
-            c * self._value[x] for x, c in row.items()))
+                acc[xi] = _norm(acc.get(xi, 0) + c)
+        acc = {xi: v for xi, v in acc.items() if v != 0}
+        # Clear denominators: one positive denominator per row.
+        den = 1
+        for v in acc.values():
+            if v.__class__ is Fraction:
+                d = v.denominator
+                den = den // gcd(den, d) * d
+        row = {}
+        for xi, v in acc.items():
+            num = v * den
+            row[xi] = num if num.__class__ is int else num.numerator
+        si = self._order[slack]
+        self._rows[si] = row
+        self._dens[si] = den
+        for xi in row:
+            self._cols[xi].add(si)
+        self._val[si] = _norm(sum(
+            v * self._val[xi] for xi, v in acc.items()))
 
     # -- bound assertion ---------------------------------------------------------
 
@@ -105,98 +137,145 @@ class Simplex:
 
     def pop(self):
         mark = self._marks.pop()
-        while len(self._trail) > mark:
-            var, side, old = self._trail.pop()
-            store = self._lower if side == "lo" else self._upper
-            if old is None:
-                del store[var]
+        trail = self._trail
+        low = self._low
+        upp = self._upp
+        while len(trail) > mark:
+            vi, is_lower, old = trail.pop()
+            if is_lower:
+                low[vi] = old
             else:
-                store[var] = old
+                upp[vi] = old
 
     def assert_lower(self, var, value, tag):
         """Assert ``var >= value``; returns None or a conflict tag list."""
         if not isinstance(value, int):
             value = _norm(Fraction(value))
-        low = self._lower.get(var)
-        if low is not None and value <= low.value:
+        vi = self._order[var]
+        old = self._low[vi]
+        if old is not None and value <= old[0]:
             return None
-        up = self._upper.get(var)
-        if up is not None and value > up.value:
-            return [t for t in (tag, up.tag) if t is not None]
-        self._trail.append((var, "lo", low))
-        self._lower[var] = _Bound(value, tag)
-        if var not in self._rows and self._value[var] < value:
-            self._update(var, value)
+        up = self._upp[vi]
+        if up is not None and value > up[0]:
+            return [t for t in (tag, up[1]) if t is not None]
+        self._trail.append((vi, True, old))
+        self._low[vi] = (value, tag)
+        if vi not in self._rows and self._val[vi] < value:
+            self._update(vi, value)
         return None
 
     def assert_upper(self, var, value, tag):
         """Assert ``var <= value``; returns None or a conflict tag list."""
         if not isinstance(value, int):
             value = _norm(Fraction(value))
-        up = self._upper.get(var)
-        if up is not None and value >= up.value:
+        vi = self._order[var]
+        old = self._upp[vi]
+        if old is not None and value >= old[0]:
             return None
-        low = self._lower.get(var)
-        if low is not None and value < low.value:
-            return [t for t in (tag, low.tag) if t is not None]
-        self._trail.append((var, "up", up))
-        self._upper[var] = _Bound(value, tag)
-        if var not in self._rows and self._value[var] > value:
-            self._update(var, value)
+        low = self._low[vi]
+        if low is not None and value < low[0]:
+            return [t for t in (tag, low[1]) if t is not None]
+        self._trail.append((vi, False, old))
+        self._upp[vi] = (value, tag)
+        if vi not in self._rows and self._val[vi] > value:
+            self._update(vi, value)
         return None
 
     # -- tableau operations ---------------------------------------------------
 
-    def _update(self, nonbasic, value):
-        delta = value - self._value[nonbasic]
-        for basic in self._cols[nonbasic]:
-            self._value[basic] = _norm(
-                self._value[basic] + self._rows[basic][nonbasic] * delta)
-        self._value[nonbasic] = value
+    def _update(self, vi, value):
+        val = self._val
+        delta = value - val[vi]
+        dens = self._dens
+        rows = self._rows
+        for bi in self._cols[vi]:
+            val[bi] = _norm(
+                val[bi] + _exact_div(rows[bi][vi] * delta, dens[bi]))
+        val[vi] = value
 
-    def _pivot_and_update(self, basic, nonbasic, value):
-        a = self._rows[basic][nonbasic]
-        theta = _exact_div(value - self._value[basic], a)
-        self._value[basic] = value
-        self._value[nonbasic] = _norm(self._value[nonbasic] + theta)
-        for other in self._cols[nonbasic]:
-            if other != basic:
-                self._value[other] = _norm(
-                    self._value[other]
-                    + self._rows[other][nonbasic] * theta)
-        self._pivot(basic, nonbasic)
+    def _pivot_and_update(self, bi, ni, value):
+        val = self._val
+        num = self._rows[bi][ni]
+        theta = _exact_div((value - val[bi]) * self._dens[bi], num)
+        val[bi] = value
+        val[ni] = _norm(val[ni] + theta)
+        rows = self._rows
+        dens = self._dens
+        for oi in self._cols[ni]:
+            if oi != bi:
+                val[oi] = _norm(
+                    val[oi] + _exact_div(rows[oi][ni] * theta, dens[oi]))
+        self._pivot(bi, ni)
 
-    def _pivot(self, basic, nonbasic):
+    def _pivot(self, bi, ni):
         if _faults.ARMED:
             _faults.point("lia.pivot")
         self.pivots += 1
-        row = self._rows.pop(basic)
-        a = row.pop(nonbasic)
-        for x in row:
-            self._cols[x].discard(basic)
-        self._cols[nonbasic].discard(basic)
-        # nonbasic = (basic - sum row)/a
-        new_row = {basic: _exact_div(1, a)}
-        for x, c in row.items():
-            new_row[x] = _exact_div(-c, a)
-        # Substitute into every other row that used `nonbasic`.
-        for other in list(self._cols[nonbasic]):
-            orow = self._rows[other]
-            factor = orow.pop(nonbasic)
-            self._cols[nonbasic].discard(other)
-            for x, c in new_row.items():
-                nc = _norm(orow.get(x, 0) + factor * c)
+        cols = self._cols
+        row = self._rows.pop(bi)
+        den = self._dens.pop(bi)
+        a = row.pop(ni)
+        for xi in row:
+            cols[xi].discard(bi)
+        cols[ni].discard(bi)
+        # ni = (den*bi - sum row)/a, kept as integer numerators over a
+        # positive denominator.
+        if a < 0:
+            new_row = {bi: -den}
+            for xi, c in row.items():
+                new_row[xi] = c
+            new_den = -a
+        else:
+            new_row = {bi: den}
+            for xi, c in row.items():
+                new_row[xi] = -c
+            new_den = a
+        g = new_den
+        for c in new_row.values():
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if g > 1:
+            new_den //= g
+            for xi in new_row:
+                new_row[xi] //= g
+        # Substitute into every other row that used `ni`:
+        # orow/oden + (f/oden)*new_row/new_den
+        #   = (orow*new_den + f*new_row) / (oden*new_den)
+        for oi in list(cols[ni]):
+            orow = self._rows[oi]
+            f = orow.pop(ni)
+            cols[ni].discard(oi)
+            oden = self._dens[oi]
+            if new_den != 1:
+                for xi in orow:
+                    orow[xi] *= new_den
+                oden *= new_den
+            for xi, c in new_row.items():
+                nc = orow.get(xi, 0) + f * c
                 if nc == 0:
-                    if x in orow:
-                        del orow[x]
-                        self._cols[x].discard(other)
+                    if xi in orow:
+                        del orow[xi]
+                        cols[xi].discard(oi)
                 else:
-                    if x not in orow:
-                        self._cols[x].add(other)
-                    orow[x] = nc
-        self._rows[nonbasic] = new_row
-        for x in new_row:
-            self._cols[x].add(nonbasic)
+                    if xi not in orow:
+                        cols[xi].add(oi)
+                    orow[xi] = nc
+            if oden != 1:
+                g = oden
+                for c in orow.values():
+                    g = gcd(g, c)
+                    if g == 1:
+                        break
+                if g > 1:
+                    oden //= g
+                    for xi in orow:
+                        orow[xi] //= g
+            self._dens[oi] = oden
+        self._rows[ni] = new_row
+        self._dens[ni] = new_den
+        for xi in new_row:
+            cols[xi].add(ni)
 
     # -- feasibility --------------------------------------------------------------
 
@@ -204,81 +283,90 @@ class Simplex:
         """Restore feasibility; "sat" or "unsat" (with ``self.conflict``)."""
         self.conflict = None
         steps = 0
+        val = self._val
+        low_arr = self._low
+        upp_arr = self._upp
+        rows = self._rows
         while True:
             steps += 1
-            if deadline is not None and steps % 256 == 0 and deadline.expired():
+            if deadline is not None and steps % 256 == 0 \
+                    and deadline.expired():
                 raise ResourceLimit("simplex deadline expired",
                                     reason="deadline")
+            # Bland's rule: a single min-scan over interned indices
+            # picks the first-in-order violated row.
             violated = None
             below = False
-            for basic in sorted(self._rows, key=self._order.get):
-                value = self._value[basic]
-                low = self._lower.get(basic)
-                if low is not None and value < low.value:
-                    violated, below = basic, True
-                    break
-                up = self._upper.get(basic)
-                if up is not None and value > up.value:
-                    violated, below = basic, False
-                    break
+            for bi in rows:
+                if violated is not None and bi > violated:
+                    continue
+                v = val[bi]
+                b = low_arr[bi]
+                if b is not None and v < b[0]:
+                    violated, below = bi, True
+                    continue
+                b = upp_arr[bi]
+                if b is not None and v > b[0]:
+                    violated, below = bi, False
             if violated is None:
                 return "sat"
-            row = self._rows[violated]
+            row = rows[violated]
             entering = None
-            for x in sorted(row, key=self._order.get):
-                c = row[x]
+            for xi, c in row.items():
+                if entering is not None and xi > entering:
+                    continue
                 if below:
-                    ok = (c > 0 and self._at_upper_slack(x)) or \
-                         (c < 0 and self._at_lower_slack(x))
+                    ok = (c > 0 and self._at_upper_slack(xi)) or \
+                         (c < 0 and self._at_lower_slack(xi))
                 else:
-                    ok = (c > 0 and self._at_lower_slack(x)) or \
-                         (c < 0 and self._at_upper_slack(x))
+                    ok = (c > 0 and self._at_lower_slack(xi)) or \
+                         (c < 0 and self._at_upper_slack(xi))
                 if ok:
-                    entering = x
-                    break
+                    entering = xi
             if entering is None:
                 self.conflict = self._explain(violated, below)
                 return "unsat"
-            target = (self._lower[violated].value if below
-                      else self._upper[violated].value)
+            target = (low_arr[violated] if below else upp_arr[violated])[0]
             self._pivot_and_update(violated, entering, target)
 
-    def _at_upper_slack(self, var):
-        """Can value of *var* still increase?"""
-        up = self._upper.get(var)
-        return up is None or self._value[var] < up.value
+    def _at_upper_slack(self, vi):
+        """Can value of *vi* still increase?"""
+        up = self._upp[vi]
+        return up is None or self._val[vi] < up[0]
 
-    def _at_lower_slack(self, var):
-        """Can value of *var* still decrease?"""
-        low = self._lower.get(var)
-        return low is None or self._value[var] > low.value
+    def _at_lower_slack(self, vi):
+        """Can value of *vi* still decrease?"""
+        low = self._low[vi]
+        return low is None or self._val[vi] > low[0]
 
-    def _explain(self, basic, below):
-        row = self._rows[basic]
+    def _explain(self, bi, below):
+        row = self._rows[bi]
         tags = []
-        own = self._lower[basic] if below else self._upper[basic]
-        if own.tag is not None:
-            tags.append(own.tag)
-        for x, c in row.items():
+        own = self._low[bi] if below else self._upp[bi]
+        if own[1] is not None:
+            tags.append(own[1])
+        for xi, c in row.items():
             if below:
-                bound = self._upper.get(x) if c > 0 else self._lower.get(x)
+                bound = self._upp[xi] if c > 0 else self._low[xi]
             else:
-                bound = self._lower.get(x) if c > 0 else self._upper.get(x)
-            if bound is not None and bound.tag is not None:
-                tags.append(bound.tag)
+                bound = self._low[xi] if c > 0 else self._upp[xi]
+            if bound is not None and bound[1] is not None:
+                tags.append(bound[1])
         return tags
 
     # -- results --------------------------------------------------------------------
 
     def values(self):
         """Current variable valuation (meaningful after a "sat" check)."""
-        return dict(self._value)
+        val = self._val
+        return {name: val[i] for i, name in enumerate(self._names)}
 
     def value(self, var):
-        return self._value[var]
+        return self._val[self._order[var]]
 
     def bounds(self, var):
-        low = self._lower.get(var)
-        up = self._upper.get(var)
-        return (None if low is None else low.value,
-                None if up is None else up.value)
+        vi = self._order[var]
+        low = self._low[vi]
+        up = self._upp[vi]
+        return (None if low is None else low[0],
+                None if up is None else up[0])

@@ -7,6 +7,28 @@ sense required by lazy SMT: clauses may be added between ``solve()`` calls.
 
 Literals are non-zero integers (DIMACS convention): literal ``v`` asserts
 variable ``v`` true, ``-v`` asserts it false.
+
+The hot-path data lives in flat index arrays rather than an object graph:
+
+* **clause arena** — every clause is a length-prefixed slice of one flat
+  int list; a clause reference is the index of its first literal, so the
+  propagation loop reads literals with two list indexings and never
+  touches a clause object or an attribute;
+* **watch lists** — one list of clause-reference lists indexed by
+  ``2*var + sign``;
+* **assignment / level / reason / activity / phase** — flat lists
+  indexed by variable (``assign[v]`` is ``0`` unassigned, ``1`` true,
+  ``-1`` false), so the inner loop never probes a dict.
+
+The arrays are plain Python lists rather than ``array('i')``: CPython
+boxes an ``array`` element into a fresh int object on *every* read,
+which measures slower than list indexing on this workload — the win of
+the layout is the flat indexed addressing, not the storage width.
+
+Learnt-clause reduction marks dropped clauses dead in the watch lists
+and, once dead slices exceed half the arena, compacts it — rewriting
+clause references in the watch lists *and* in the reason array, so
+conflict analysis never follows a stale reference.
 """
 
 from heapq import heapify, heappop, heappush
@@ -18,15 +40,6 @@ from repro.obs import current_metrics
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-
-class _Clause:
-    __slots__ = ("lits", "learnt", "activity")
-
-    def __init__(self, lits, learnt=False):
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
 
 
 def _luby(i):
@@ -41,28 +54,31 @@ def _luby(i):
 
 
 class SatSolver:
-    """CDCL solver over integer literals."""
+    """CDCL over integer literals, clause arena + flat index arrays."""
 
     def __init__(self):
         self._num_vars = 0
-        self._clauses = []
-        self._learnts = []
-        self._watches = {}          # literal -> list of clauses watching it
-        self._assign = {}           # var -> bool
-        self._level = {}            # var -> decision level
-        self._reason = {}           # var -> implying clause (None = decision)
+        # Clause arena: [0, len, l1..lk, len, l1..lk, ...].  A clause
+        # reference points at its first literal; arena[ref-1] is its
+        # length.  The leading 0 keeps every valid reference >= 2, so 0
+        # can mean "no reason" in the reason array.
+        self._arena = [0]
+        self._clause_refs = []
+        self._learnt_refs = []
+        self._garbage = 0           # dead arena slots awaiting compaction
+        self._watches = [[], []]    # index 2*v (lit v) / 2*v+1 (lit -v)
+        self._assign = [0]          # var -> 0 unassigned / 1 true / -1 false
+        self._levels = [0]          # var -> decision level (valid if assigned)
+        self._reasons = [0]         # var -> implying clause ref (0 = none)
         self._trail = []
         self._trail_lim = []
         self._queue_head = 0
-        self._activity = {}
+        self._activity = [0.0]
         self._var_inc = 1.0
         self._var_decay = 0.95
-        self._cla_inc = 1.0
-        self._phase = {}
+        self._phase = [False]
         self._heap = []
         self._ok = True
-        self._restart_count = 0
-        self._conflict_budget_check = 0
 
     # -- construction -------------------------------------------------------
 
@@ -70,11 +86,30 @@ class SatSolver:
         while self._num_vars < var:
             self._num_vars += 1
             v = self._num_vars
-            self._activity[v] = 0.0
-            self._phase[v] = False
+            self._assign.append(0)
+            self._levels.append(0)
+            self._reasons.append(0)
+            self._activity.append(0.0)
+            self._phase.append(False)
+            self._watches.append([])    # literal  v -> index 2v
+            self._watches.append([])    # literal -v -> index 2v+1
             heappush(self._heap, (0.0, v))
-            self._watches.setdefault(v, [])
-            self._watches.setdefault(-v, [])
+
+    def _push_clause(self, lits):
+        arena = self._arena
+        arena.append(len(lits))
+        ref = len(arena)
+        arena.extend(lits)
+        return ref
+
+    def _watch(self, ref):
+        arena = self._arena
+        l0 = arena[ref]
+        l1 = arena[ref + 1]
+        # A clause watching literal l sits in the watch list of -l (the
+        # list scanned when -l's negation, i.e. l's falsifier, fires).
+        self._watches[l0 + l0 + 1 if l0 > 0 else -l0 - l0].append(ref)
+        self._watches[l1 + l1 + 1 if l1 > 0 else -l1 - l1].append(ref)
 
     def add_clause(self, lits):
         """Add a clause; returns False if the solver became trivially unsat."""
@@ -83,189 +118,225 @@ class SatSolver:
         self._backtrack(0)
         seen = set()
         out = []
+        assign = self._assign
+        levels = self._levels
         for lit in lits:
-            self.ensure_var(abs(lit))
+            var = lit if lit > 0 else -lit
+            if var > self._num_vars:
+                self.ensure_var(var)
             if -lit in seen:
                 return True     # tautology
             if lit in seen:
                 continue
-            value = self._value(lit)
-            if value is True and self._level.get(abs(lit), 0) == 0:
-                return True     # already satisfied at root
-            if value is False and self._level.get(abs(lit), 0) == 0:
-                continue        # falsified at root, drop literal
+            v = assign[var]
+            if v:
+                value = (v > 0) == (lit > 0)
+                if value and levels[var] == 0:
+                    return True     # already satisfied at root
+                if not value and levels[var] == 0:
+                    continue        # falsified at root, drop literal
             seen.add(lit)
             out.append(lit)
         if not out:
             self._ok = False
             return False
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
+            if not self._enqueue(out[0], 0):
                 self._ok = False
                 return False
-            conflict = self._propagate()
-            if conflict is not None:
+            if self._propagate():
                 self._ok = False
                 return False
             return True
-        clause = _Clause(out)
-        self._clauses.append(clause)
-        self._watch(clause)
+        ref = self._push_clause(out)
+        self._clause_refs.append(ref)
+        self._watch(ref)
         return True
-
-    def _watch(self, clause):
-        self._watches[-clause.lits[0]].append(clause)
-        self._watches[-clause.lits[1]].append(clause)
 
     # -- assignment ---------------------------------------------------------
 
     def _value(self, lit):
-        v = self._assign.get(abs(lit))
-        if v is None:
+        v = self._assign[lit if lit > 0 else -lit]
+        if not v:
             return None
-        return v if lit > 0 else not v
+        return (v > 0) == (lit > 0)
 
-    def _enqueue(self, lit, reason):
-        value = self._value(lit)
-        if value is not None:
-            return value
-        var = abs(lit)
-        self._assign[var] = lit > 0
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = reason
+    def _enqueue(self, lit, reason_ref):
+        var = lit if lit > 0 else -lit
+        v = self._assign[var]
+        if v:
+            return (v > 0) == (lit > 0)
+        self._assign[var] = 1 if lit > 0 else -1
+        self._levels[var] = len(self._trail_lim)
+        self._reasons[var] = reason_ref
         self._trail.append(lit)
         return True
 
     def _propagate(self):
-        """Unit propagation; returns a conflicting clause or None.
+        """Unit propagation; returns a conflicting clause ref or 0.
 
-        The inner loop hand-inlines ``_value`` and ``_enqueue`` — this is
-        the solver's hottest path and the call overhead is measurable.
+        The solver's hottest loop: every memory access is a list
+        indexing into the arena or a per-variable array, and the value
+        and enqueue helpers are hand-inlined.
         """
+        arena = self._arena
         assign = self._assign
         watches = self._watches
         trail = self._trail
-        while self._queue_head < len(trail):
-            lit = trail[self._queue_head]
-            self._queue_head += 1
-            watchers = watches[lit]
-            watches[lit] = []
+        levels = self._levels
+        reasons = self._reasons
+        qhead = self._queue_head
+        current_level = len(self._trail_lim)
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            wi = lit + lit if lit > 0 else 1 - lit - lit
+            watchers = watches[wi]
+            if not watchers:
+                continue
+            watches[wi] = []
             i = 0
             n = len(watchers)
             while i < n:
-                clause = watchers[i]
+                ref = watchers[i]
                 i += 1
-                lits = clause.lits
-                # Ensure the falsified literal is at position 1.
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                v = assign.get(first if first > 0 else -first)
-                value = v if first > 0 or v is None else not v
-                if value is True:
-                    watches[lit].append(clause)
+                # Ensure the falsified literal is in slot 1.
+                first = arena[ref]
+                if first == -lit:
+                    first = arena[ref + 1]
+                    arena[ref + 1] = -lit
+                    arena[ref] = first
+                v = assign[first] if first > 0 else -assign[-first]
+                if v > 0:
+                    watches[wi].append(ref)
                     continue
-                # Search for a new literal to watch.
-                found = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    v = assign.get(lk if lk > 0 else -lk)
-                    if v is None or (v if lk > 0 else not v):
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[-lits[1]].append(clause)
-                        found = True
+                # Search slots 2.. for a non-false literal to watch.
+                end = ref + arena[ref - 1]
+                k = ref + 2
+                moved = False
+                while k < end:
+                    lk = arena[k]
+                    if (assign[lk] if lk > 0 else -assign[-lk]) >= 0:
+                        arena[ref + 1] = lk
+                        arena[k] = -lit
+                        watches[lk + lk + 1 if lk > 0
+                                else -lk - lk].append(ref)
+                        moved = True
                         break
-                if found:
+                    k += 1
+                if moved:
                     continue
                 # Clause is unit or conflicting.
-                watches[lit].append(clause)
-                if value is False:
+                watches[wi].append(ref)
+                if v < 0:
                     # Conflict: restore remaining watchers.
-                    watches[lit].extend(watchers[i:])
+                    watches[wi].extend(watchers[i:])
                     self._queue_head = len(trail)
-                    return clause
+                    return ref
                 var = first if first > 0 else -first
-                assign[var] = first > 0
-                self._level[var] = len(self._trail_lim)
-                self._reason[var] = clause
+                assign[var] = 1 if first > 0 else -1
+                levels[var] = current_level
+                reasons[var] = ref
                 trail.append(first)
-        return None
+        self._queue_head = qhead
+        return 0
 
     def _backtrack(self, level):
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var]
-            del self._assign[var]
-            del self._level[var]
-            self._reason.pop(var, None)
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[limit:]
+        trail = self._trail
+        assign = self._assign
+        reasons = self._reasons
+        phase = self._phase
+        activity = self._activity
+        heap = self._heap
+        for idx in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[idx]
+            var = lit if lit > 0 else -lit
+            phase[var] = assign[var] > 0
+            assign[var] = 0
+            reasons[var] = 0
+            heappush(heap, (-activity[var], var))
+        del trail[limit:]
         del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+        self._queue_head = limit
 
-    # -- conflict analysis ----------------------------------------------------
+    # -- conflict analysis --------------------------------------------------
 
     def _bump_var(self, var):
-        self._activity[var] += self._var_inc
-        if var not in self._assign:
-            heappush(self._heap, (-self._activity[var], var))
-        if self._activity[var] > 1e100:
-            for v in self._activity:
-                self._activity[v] *= 1e-100
+        activity = self._activity
+        activity[var] += self._var_inc
+        if not self._assign[var]:
+            heappush(self._heap, (-activity[var], var))
+        if activity[var] > 1e100:
+            assign = self._assign
+            for v in range(1, self._num_vars + 1):
+                activity[v] *= 1e-100
             self._var_inc *= 1e-100
-            self._heap = [(-self._activity[v], v)
-                          for _, v in self._heap if v not in self._assign]
+            self._heap = [(-activity[v], v)
+                          for _, v in self._heap if not assign[v]]
             heapify(self._heap)
 
-    def _analyze(self, conflict):
+    def _analyze(self, conflict_ref):
         """First-UIP learning; returns (learnt_lits, backtrack_level)."""
+        arena = self._arena
+        levels = self._levels
+        reasons = self._reasons
+        trail = self._trail
         current_level = len(self._trail_lim)
         seen = set()
-        learnt = [None]     # slot 0 for the asserting literal
+        learnt = [0]        # slot 0 for the asserting literal
         counter = 0
-        lit = None
-        reason = conflict
-        index = len(self._trail)
+        lit = 0
+        ref = conflict_ref
+        index = len(trail)
         while True:
-            for q in reason.lits:
+            for idx in range(ref, ref + arena[ref - 1]):
+                q = arena[idx]
                 if q == lit:
                     continue
-                var = abs(q)
-                if var in seen or self._level[var] == 0:
+                var = q if q > 0 else -q
+                if var in seen or levels[var] == 0:
                     continue
                 seen.add(var)
                 self._bump_var(var)
-                if self._level[var] == current_level:
+                if levels[var] == current_level:
                     counter += 1
                 else:
                     learnt.append(q)
             # Pick the next trail literal to resolve on.
             while True:
                 index -= 1
-                lit = self._trail[index]
-                if abs(lit) in seen:
+                lit = trail[index]
+                if (lit if lit > 0 else -lit) in seen:
                     break
             counter -= 1
-            seen.discard(abs(lit))
+            var = lit if lit > 0 else -lit
+            seen.discard(var)
             if counter == 0:
                 break
-            reason = self._reason[abs(lit)]
+            ref = reasons[var]
         learnt[0] = -lit
 
         # Clause minimization: drop literals implied by the rest.
-        marked = set(abs(l) for l in learnt[1:])
+        marked = set(q if q > 0 else -q for q in learnt[1:])
         kept = [learnt[0]]
         for q in learnt[1:]:
-            reason = self._reason.get(abs(q))
-            if reason is None:
+            qv = q if q > 0 else -q
+            ref = reasons[qv]
+            if not ref:
                 kept.append(q)
                 continue
-            redundant = all(
-                self._level[abs(r)] == 0 or abs(r) in marked or abs(r) in seen
-                for r in reason.lits if abs(r) != abs(q))
+            redundant = True
+            for idx in range(ref, ref + arena[ref - 1]):
+                r = arena[idx]
+                rv = r if r > 0 else -r
+                if rv == qv:
+                    continue
+                if levels[rv] != 0 and rv not in marked and rv not in seen:
+                    redundant = False
+                    break
             if not redundant:
                 kept.append(q)
         learnt = kept
@@ -274,33 +345,39 @@ class SatSolver:
             return learnt, 0
         # Backtrack level: highest level among non-asserting literals.
         max_i = 1
+        li = learnt[1]
+        max_level = levels[li if li > 0 else -li]
         for i in range(2, len(learnt)):
-            if self._level[abs(learnt[i])] > self._level[abs(learnt[max_i])]:
-                max_i = i
+            li = learnt[i]
+            level = levels[li if li > 0 else -li]
+            if level > max_level:
+                max_i, max_level = i, level
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[abs(learnt[1])]
+        return learnt, max_level
 
-    # -- decisions --------------------------------------------------------------
+    # -- decisions ----------------------------------------------------------
 
     def _decide(self):
-        while self._heap:
-            _, v = heappop(self._heap)
-            if v not in self._assign:
+        assign = self._assign
+        heap = self._heap
+        while heap:
+            _, v = heappop(heap)
+            if not assign[v]:
                 return v if self._phase[v] else -v
         # The heap is lazy; fall back to a scan to be safe.
         for v in range(1, self._num_vars + 1):
-            if v not in self._assign:
+            if not assign[v]:
                 return v if self._phase[v] else -v
         return 0
 
-    # -- main loop ----------------------------------------------------------------
+    # -- main loop ----------------------------------------------------------
 
     def simplify(self):
         """Propagate at the root level; False if the instance is unsat."""
         if not self._ok:
             return False
         self._backtrack(0)
-        if self._propagate() is not None:
+        if self._propagate():
             self._ok = False
             return False
         return True
@@ -324,19 +401,19 @@ class SatSolver:
         if not self._ok:
             return None
         self._backtrack(0)
-        if self._propagate() is not None:
+        if self._propagate():
             self._ok = False
             return None
         for lit in assumptions:
-            self.ensure_var(abs(lit))
+            self.ensure_var(lit if lit > 0 else -lit)
             value = self._value(lit)
             if value is False:
                 self._backtrack(0)
                 return None
             self._trail_lim.append(len(self._trail))
             if value is None:
-                self._enqueue(lit, None)
-                if self._propagate() is not None:
+                self._enqueue(lit, 0)
+                if self._propagate():
                     self._backtrack(0)
                     return None
         implied = list(self._trail)
@@ -362,9 +439,8 @@ class SatSolver:
             return UNSAT
         self._backtrack(0)
         for lit in assumptions:
-            self.ensure_var(abs(lit))
-        conflict = self._propagate()
-        if conflict is not None:
+            self.ensure_var(lit if lit > 0 else -lit)
+        if self._propagate():
             self._ok = False
             return UNSAT
 
@@ -380,7 +456,7 @@ class SatSolver:
         try:
             while True:
                 conflict = self._propagate()
-                if conflict is not None:
+                if conflict:
                     conflicts_total += 1
                     conflicts_since_restart += 1
                     if conflict_limit is not None \
@@ -394,12 +470,12 @@ class SatSolver:
                     learnt, back_level = self._analyze(conflict)
                     self._backtrack(back_level)
                     if len(learnt) == 1:
-                        self._enqueue(learnt[0], None)
+                        self._enqueue(learnt[0], 0)
                     else:
-                        clause = _Clause(learnt, learnt=True)
-                        self._learnts.append(clause)
-                        self._watch(clause)
-                        self._enqueue(learnt[0], clause)
+                        ref = self._push_clause(learnt)
+                        self._learnt_refs.append(ref)
+                        self._watch(ref)
+                        self._enqueue(learnt[0], ref)
                     self._var_inc /= self._var_decay
                     if conflicts_since_restart >= restart_limit:
                         conflicts_since_restart = 0
@@ -407,7 +483,8 @@ class SatSolver:
                         luby_index += 1
                         restart_limit = 32 * _luby(luby_index)
                         self._backtrack(0)
-                    if len(self._learnts) > 2000 + 4 * len(self._clauses):
+                    if len(self._learnt_refs) > 2000 \
+                            + 4 * len(self._clause_refs):
                         self._reduce_learnts()
                 else:
                     if len(self._trail_lim) < len(assumptions):
@@ -423,43 +500,87 @@ class SatSolver:
                             return UNSAT
                         self._trail_lim.append(len(self._trail))
                         if value is None:
-                            self._enqueue(lit, None)
+                            self._enqueue(lit, 0)
                         continue
                     lit = self._decide()
                     if lit == 0:
                         return SAT
                     decisions += 1
                     self._trail_lim.append(len(self._trail))
-                    self._enqueue(lit, None)
+                    self._enqueue(lit, 0)
         finally:
             metrics = current_metrics()
             if metrics.enabled:
                 metrics.add("sat.conflicts", conflicts_total)
                 metrics.add("sat.decisions", decisions)
                 metrics.add("sat.restarts", restarts)
-                metrics.gauge("sat.learnts", len(self._learnts))
+                metrics.gauge("sat.learnts", len(self._learnt_refs))
 
     def _reduce_learnts(self):
         """Throw away half of the learnt clauses (longest first)."""
+        arena = self._arena
+        reasons = self._reasons
         locked = set()
-        for var, reason in self._reason.items():
-            if reason is not None:
-                locked.add(id(reason))
-        self._learnts.sort(key=lambda c: len(c.lits))
-        keep = self._learnts[: len(self._learnts) // 2]
-        drop = self._learnts[len(self._learnts) // 2:]
-        kept_drop = [c for c in drop if id(c) in locked or len(c.lits) <= 2]
-        dropped = set(id(c) for c in drop if id(c) not in locked and len(c.lits) > 2)
-        self._learnts = keep + kept_drop
-        for lit in list(self._watches):
-            self._watches[lit] = [c for c in self._watches[lit]
-                                  if id(c) not in dropped]
+        for lit in self._trail:
+            ref = reasons[lit if lit > 0 else -lit]
+            if ref:
+                locked.add(ref)
+        learnts = self._learnt_refs
+        learnts.sort(key=lambda ref: arena[ref - 1])
+        half = len(learnts) // 2
+        keep = learnts[:half]
+        dropped = set()
+        for ref in learnts[half:]:
+            if ref in locked or arena[ref - 1] <= 2:
+                keep.append(ref)
+            else:
+                dropped.add(ref)
+                self._garbage += arena[ref - 1] + 1
+        self._learnt_refs = keep
+        if not dropped:
+            return
+        watches = self._watches
+        for wi in range(2, len(watches)):
+            lst = watches[wi]
+            if lst:
+                watches[wi] = [ref for ref in lst if ref not in dropped]
+        if self._garbage * 2 > len(arena):
+            self._compact()
 
-    # -- results ------------------------------------------------------------------
+    def _compact(self):
+        """Rebuild the arena without dead clauses, remapping every
+        clause reference (clause lists, watch lists, reason array)."""
+        old = self._arena
+        new = [0]
+        remap = {}
+        for refs in (self._clause_refs, self._learnt_refs):
+            for i, ref in enumerate(refs):
+                size = old[ref - 1]
+                new.append(size)
+                nref = len(new)
+                new.extend(old[ref:ref + size])
+                remap[ref] = nref
+                refs[i] = nref
+        self._arena = new
+        self._garbage = 0
+        reasons = self._reasons
+        for lit in self._trail:
+            var = lit if lit > 0 else -lit
+            if reasons[var]:
+                reasons[var] = remap[reasons[var]]
+        # Watched slots (0 and 1 of every clause) are preserved by the
+        # copy, so re-deriving the watch lists keeps the invariant.
+        watches = self._watches
+        for wi in range(len(watches)):
+            if watches[wi]:
+                watches[wi] = []
+        for refs in (self._clause_refs, self._learnt_refs):
+            for ref in refs:
+                self._watch(ref)
+
+    # -- results ------------------------------------------------------------
 
     def model(self):
         """Variable -> bool map after a SAT answer (unassigned vars False)."""
-        model = {}
-        for v in range(1, self._num_vars + 1):
-            model[v] = self._assign.get(v, False)
-        return model
+        assign = self._assign
+        return {v: assign[v] > 0 for v in range(1, self._num_vars + 1)}

@@ -46,8 +46,7 @@ from math import inf
 
 from repro.logic.presolve import collect_bounds, presolve, reconstruct_model
 from repro.obs import current_metrics, current_tracer
-from repro import kernels as _kernels
-from repro.sat import SAT, UNSAT
+from repro.sat import SAT, UNSAT, SatSolver
 from repro.smt.solver import SmtResult, corrupt_result
 
 
@@ -63,7 +62,7 @@ class IncrementalSmtSession:
     def __init__(self, config=None):
         self.config = config or DEFAULT_CONFIG
         self.registry = AtomRegistry()
-        self.sat = _kernels.sat_solver(getattr(self.config, "backend", None))
+        self.sat = SatSolver()
         self._encode_cache = {}
         self._fragments = {}            # key -> _Fragment
         # key -> (raw, raw_vars, own_bounds, reduced, steps, eliminated,

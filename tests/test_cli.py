@@ -62,6 +62,26 @@ class TestCli:
         code, out = run_cli(tmp_path, SAT_SCRIPT, "--solver", "enum")
         assert out.splitlines()[0] in ("sat", "unknown")
 
+    @pytest.mark.parametrize("text,flags,expected", [
+        (None, (), "No such file or directory"),
+        ("(declare-fun x () String)\n(assert (= x", (), "missing ')'"),
+        ("(declare-fun x () String)\n(assert (= (str.len y) 2))\n", (),
+         "unknown string symbol 'y'"),
+        (SAT_SCRIPT, ("--trace-json", "{tmp}/missing-dir/out.json"),
+         "No such file or directory"),
+    ], ids=["missing-file", "unclosed-assert", "undeclared-symbol",
+            "unwritable-trace-json"])
+    def test_bad_input_is_one_line_exit_2(self, tmp_path, capsys, text,
+                                          flags, expected):
+        path = tmp_path / "input.smt2"
+        if text is not None:
+            path.write_text(text)
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main([str(path), "--timeout", "30", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro: error: ") and expected in err
+
     def test_format_model_escapes_quotes(self):
         from repro.strings import ProblemBuilder
         b = ProblemBuilder()

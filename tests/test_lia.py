@@ -56,6 +56,51 @@ class TestSimplex:
         s.pop()
         assert s.check() == "sat"
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from(("x", "y")),
+                                    st.integers(-4, 4).filter(bool),
+                                    min_size=1),
+                    max_size=2),
+           st.data())
+    def test_pop_restores_status_and_base_bounds(self, rows, data):
+        # base bounds, check, push, frame bounds, check, pop, check: a
+        # frame bound that survives pop shows in bounds(), and can change
+        # the status or leave the valuation outside a base bound.
+        s = Simplex()
+        for v in ("x", "y"):
+            s.add_variable(v)
+        for i, coeffs in enumerate(rows):
+            s.define("r%d" % i, coeffs)
+        names = ["x", "y"] + ["r%d" % i for i in range(len(rows))]
+        bound = st.tuples(
+            st.sampled_from(names), st.booleans(),
+            st.one_of(st.integers(-8, 8),
+                      st.integers(-16, 16).map(lambda n: Fraction(n, 3))))
+        base = data.draw(st.lists(bound, min_size=1, max_size=4))
+        frame = data.draw(st.lists(bound, min_size=1, max_size=4))
+        for tag, (v, upper, value) in enumerate(base):
+            assert_bound = s.assert_upper if upper else s.assert_lower
+            if assert_bound(v, value, tag) is not None:
+                return
+        before = s.check()
+        bounds = [s.bounds(v) for v in names]
+        s.push()
+        for tag, (v, upper, value) in enumerate(frame, start=len(base)):
+            assert_bound = s.assert_upper if upper else s.assert_lower
+            if assert_bound(v, value, tag) is not None:
+                break
+        s.check()
+        s.pop()
+        assert [s.bounds(v) for v in names] == bounds
+        assert s.check() == before
+        if before == "sat":
+            for v, upper, value in base:
+                assert (s.value(v) <= value) if upper \
+                    else (s.value(v) >= value)
+            for i, coeffs in enumerate(rows):
+                assert s.value("r%d" % i) == sum(
+                    c * s.value(x) for x, c in coeffs.items())
+
     def test_fractional_vertex(self):
         # 2x = 1 is rationally feasible at x = 1/2.
         s = Simplex()

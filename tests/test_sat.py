@@ -3,17 +3,42 @@
 import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sat import SatSolver, SAT, UNSAT
 
 
-def brute_force(clauses, num_vars):
+def models(clauses, num_vars):
     for bits in itertools.product([False, True], repeat=num_vars):
         assign = {v + 1: bits[v] for v in range(num_vars)}
-        if all(any(assign[abs(l)] == (l > 0) for l in c) for c in clauses):
-            return assign
-    return None
+        if satisfies(assign, clauses):
+            yield assign
+
+
+def brute_force(clauses, num_vars):
+    return next(models(clauses, num_vars), None)
+
+
+def satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def unit_closure(clauses):
+    """Literals unit propagation derives from *clauses*; None on conflict."""
+    fixed = set()
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(lit in fixed for lit in clause):
+                continue
+            open_lits = {lit for lit in clause if -lit not in fixed}
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                fixed |= open_lits
+                changed = True
+    return fixed
 
 
 def run_solver(clauses):
@@ -104,6 +129,16 @@ def random_cnf(draw):
     return num_vars, clauses
 
 
+def literals(num_vars):
+    return st.integers(1, num_vars).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+
+
+def clause_lists(num_vars, min_size=0, max_size=8):
+    return st.lists(st.lists(literals(num_vars), min_size=1, max_size=4),
+                    min_size=min_size, max_size=max_size)
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(random_cnf())
@@ -117,6 +152,83 @@ class TestAgainstBruteForce:
             assert outcome == SAT
             assert all(any(model[abs(l)] == (l > 0) for l in c)
                        for c in clauses)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_declared_variables_match_brute_force(self, num_vars, data):
+        # Variables declared up front, including ones no clause mentions,
+        # and the empty clause list: the model covers every declared one.
+        clauses = data.draw(clause_lists(num_vars, max_size=14))
+        solver = SatSolver()
+        solver.ensure_var(num_vars)
+        if all(solver.add_clause(c) for c in clauses):
+            outcome = solver.solve()
+        else:
+            outcome = UNSAT
+        reference = brute_force(clauses, num_vars)
+        assert outcome == (UNSAT if reference is None else SAT)
+        if outcome == SAT:
+            model = solver.model()
+            assert sorted(model) == list(range(1, num_vars + 1))
+            assert satisfies(model, clauses)
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_cnf(), st.data())
+    def test_assumptions_match_brute_force(self, problem, data):
+        # Assumptions act as unit clauses for one solve() call only, so
+        # the plain call after them answers for the clauses alone.
+        num_vars, clauses = problem
+        assumptions = data.draw(st.lists(literals(num_vars), min_size=1,
+                                         max_size=3, unique_by=abs))
+        solver = SatSolver()
+        for clause in clauses:
+            solver.add_clause(clause)
+        for assumed in (assumptions, ()):
+            units = [[lit] for lit in assumed]
+            outcome = solver.solve(assumptions=assumed)
+            if brute_force(clauses + units, num_vars) is None:
+                assert outcome == UNSAT
+            else:
+                assert outcome == SAT
+                assert satisfies(solver.model(), clauses + units)
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_cnf(), st.data())
+    def test_incremental_batches_match_brute_force(self, problem, data):
+        # A second batch of clauses arrives after the first solve() call.
+        num_vars, first = problem
+        second = data.draw(clause_lists(num_vars))
+        solver = SatSolver()
+        added = []
+        for batch in (first, second):
+            for clause in batch:
+                solver.add_clause(clause)
+            added += batch
+            outcome = solver.solve()
+            if brute_force(added, num_vars) is None:
+                assert outcome == UNSAT
+            else:
+                assert outcome == SAT
+                assert satisfies(solver.model(), added)
+
+    @settings(max_examples=120, deadline=None)
+    @given(random_cnf())
+    @example((4, [[1], [-1, 2], [-2, 3], [3, 4]]))
+    def test_level0_literals_are_unit_closure(self, problem):
+        # After simplify() the root trail is exactly what unit propagation
+        # derives, and each of its literals holds in every model.
+        num_vars, clauses = problem
+        solver = SatSolver()
+        alive = all(solver.add_clause(c) for c in clauses) \
+            and solver.simplify()
+        closure = unit_closure(clauses)
+        assert alive == (closure is not None)
+        if not alive:
+            return
+        fixed = set(solver.level0_literals())
+        assert fixed == closure
+        for model in models(clauses, num_vars):
+            assert all(model[abs(l)] == (l > 0) for l in fixed)
 
     def test_random_3sat_near_threshold(self):
         rng = random.Random(7)

@@ -1,9 +1,10 @@
 """Cross-validation of the rational simplex against scipy.optimize.linprog.
 
 Random bounded systems of linear inequalities: our simplex and scipy must
-agree on rational feasibility.  (Integer feasibility has no scipy oracle;
-the branch-and-bound layer is cross-checked against brute force in
-test_lia.py.)
+agree on rational feasibility, and the rows an unsat answer names as its
+conflict must be infeasible on their own.  (Integer feasibility has no
+scipy oracle; the branch-and-bound layer is cross-checked against brute
+force in test_lia.py.)
 """
 
 import numpy as np
@@ -27,6 +28,8 @@ def systems(draw):
 
 
 def scipy_feasible(num_vars, rows, box=50):
+    if not rows:
+        return True     # the box alone
     a_ub = [coeffs for coeffs, _ in rows]
     b_ub = [bound for _, bound in rows]
     result = linprog(c=np.zeros(num_vars), A_ub=np.array(a_ub),
@@ -35,7 +38,10 @@ def scipy_feasible(num_vars, rows, box=50):
     return result.status == 0
 
 
-def simplex_feasible(num_vars, rows, box=50):
+def simplex_solve(num_vars, rows, box=50):
+    """``(values, None)`` when feasible, else ``(None, core)`` with the
+    sorted indices of the rows tagged in the conflict (the box bounds are
+    untagged)."""
     s = Simplex()
     names = ["x%d" % i for i in range(num_vars)]
     for name in names:
@@ -44,18 +50,26 @@ def simplex_feasible(num_vars, rows, box=50):
         non_zero = {names[i]: c for i, c in enumerate(coeffs) if c}
         if not non_zero:
             if 0 > bound:
-                return False
+                return None, [idx]
             continue
         slack = "s%d" % idx
         s.define(slack, non_zero)
-        if s.assert_upper(slack, bound, idx) is not None:
-            return False
+        conflict = s.assert_upper(slack, bound, idx)
+        if conflict is not None:
+            return None, sorted(set(conflict))
     for name in names:
-        if s.assert_lower(name, -box, None) is not None:
-            return False
-        if s.assert_upper(name, box, None) is not None:
-            return False
-    return s.check() == "sat"
+        conflict = s.assert_lower(name, -box, None)
+        if conflict is None:
+            conflict = s.assert_upper(name, box, None)
+        if conflict is not None:
+            return None, sorted(set(conflict))
+    if s.check() == "sat":
+        return [s.value(name) for name in names], None
+    return None, sorted(set(t for t in s.conflict if t is not None))
+
+
+def simplex_feasible(num_vars, rows, box=50):
+    return simplex_solve(num_vars, rows, box)[1] is None
 
 
 class TestAgainstScipy:
@@ -65,6 +79,20 @@ class TestAgainstScipy:
         num_vars, rows = system
         assert simplex_feasible(num_vars, rows) == \
             scipy_feasible(num_vars, rows)
+
+    @settings(max_examples=120, deadline=None)
+    @given(systems())
+    def test_values_and_conflict_cores_are_sound(self, system):
+        # A sat valuation meets every row and the box exactly; the rows an
+        # unsat answer names, with the box, are infeasible on their own.
+        num_vars, rows = system
+        values, core = simplex_solve(num_vars, rows)
+        if core is None:
+            assert all(-50 <= v <= 50 for v in values)
+            for coeffs, bound in rows:
+                assert sum(c * v for c, v in zip(coeffs, values)) <= bound
+        else:
+            assert not scipy_feasible(num_vars, [rows[i] for i in core])
 
     def test_known_feasible(self):
         # x + y <= 4, -x <= 0, -y <= 0

@@ -44,11 +44,11 @@ With ``--allow-unknown`` an UNKNOWN answer passes as long as it is
 chaos job asserts tiny budgets degrade gracefully instead of erroring.
 
 ``fuzz`` runs a differential + metamorphic fuzzing campaign through
-:mod:`repro.diff`: seeded random problems are solved by both TrauSolver
-pipelines and the enumerative oracle, definite verdicts are
-cross-checked (and checked for stability under satisfiability-
-preserving transforms), and every disagreement is shrunk to a minimal
-``.smt2`` reproducer under ``--save-failures DIR``.  Exits non-zero on
+:mod:`repro.diff`: seeded random problems are solved by TrauSolver and
+the enumerative oracle, definite verdicts are cross-checked (and
+checked for stability under satisfiability-preserving transforms), and
+every disagreement is shrunk to a minimal ``.smt2`` reproducer under
+``--save-failures DIR``.  Exits non-zero on
 any disagreement.
 
 ``netserve`` puts the same supervised stack on a TCP port
@@ -67,8 +67,8 @@ request still gets a well-formed answer (see
 the supervised :class:`~repro.serve.service.SolverService`: a pool of
 ``--pool-jobs`` isolated worker processes with hard deadlines,
 worker-death retries, poison-pill quarantine, and — with
-``--portfolio`` — a cross-checked race between the incremental and
-one-shot pipelines.  Every file gets exactly one answer; SIGTERM drains
+``--portfolio`` — a cross-checked race between the configured pipeline
+and its no-cache rung.  Every file gets exactly one answer; SIGTERM drains
 gracefully (in-flight work finishes or is killed at its deadline,
 queued files answer ``unknown(shutdown)``) and still exits zero.
 ``--request-fault 'NAME[@LABEL]=SPEC'`` arms a serve-layer fault for
@@ -170,7 +170,7 @@ def _build_config(args):
         _store.set_default_path(args.store)
         kwargs["store_path"] = args.store
     if getattr(args, "no_cache", False):
-        kwargs.update(use_caches=False, use_incremental=False)
+        kwargs["use_caches"] = False
     if args.max_bb_nodes is not None:
         kwargs["bb_node_limit"] = args.max_bb_nodes
     if args.max_smt_iterations is not None:
@@ -225,8 +225,7 @@ def main(argv=None):
                              "print the N hottest (phase, call site) rows "
                              "(as ; comments); implies span tracing")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the memoization caches and "
-                             "cross-round incremental solving")
+                        help="disable the memoization caches")
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],
@@ -325,7 +324,7 @@ def _parse_request_faults(values):
 
 def serve_batch(argv=None):
     """Solve a corpus of SMT-LIB files through the supervised service."""
-    from repro.serve import PortfolioEntry, ServeResult, SolverService
+    from repro.serve import ServeResult, SolverService, default_portfolio
 
     parser = argparse.ArgumentParser(
         prog="repro serve-batch",
@@ -337,8 +336,9 @@ def serve_batch(argv=None):
     parser.add_argument("--pool-jobs", type=int, default=2, metavar="N",
                         help="worker processes in the pool (default 2)")
     parser.add_argument("--portfolio", action="store_true",
-                        help="race the incremental and one-shot pipelines "
-                             "per request and cross-check the verdicts")
+                        help="race the configured pipeline and its "
+                             "no-cache rung per request and cross-check "
+                             "the verdicts")
     parser.add_argument("--timeout", type=float, default=10.0,
                         help="per-request solver budget in seconds")
     parser.add_argument("--grace", type=float, default=2.0,
@@ -372,7 +372,8 @@ def serve_batch(argv=None):
     parser.add_argument("--trace", action="store_true",
                         help="print serve spans and metrics after the run")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable caches/incremental in the workers")
+                        help="disable the memoization caches in the "
+                             "workers")
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],
@@ -384,15 +385,8 @@ def serve_batch(argv=None):
                              "(optionally one portfolio arm); repeatable")
     args = parser.parse_args(argv)
 
-    from dataclasses import replace
-
     config = _build_config(args)
-    portfolio = None
-    if args.portfolio:
-        portfolio = (PortfolioEntry("incremental", config),
-                     PortfolioEntry("oneshot",
-                                    replace(config, use_incremental=False,
-                                            use_caches=False)))
+    portfolio = default_portfolio(config) if args.portfolio else None
     request_faults = _parse_request_faults(args.request_fault)
 
     files = _collect_smt_files(args.paths)
@@ -583,8 +577,8 @@ def fuzz(argv=None):
     parser = argparse.ArgumentParser(
         prog="repro fuzz",
         description="differential + metamorphic fuzzing campaign: "
-                    "seeded random problems through both TrauSolver "
-                    "pipelines and the enumerative oracle")
+                    "seeded random problems through TrauSolver and "
+                    "the enumerative oracle")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (every problem derives "
                              "deterministically from seed and index)")
@@ -737,8 +731,9 @@ def netserve(argv=None):
     parser.add_argument("--grace", type=float, default=2.0,
                         help="seconds past a deadline before hard kill")
     parser.add_argument("--portfolio", action="store_true",
-                        help="race incremental vs one-shot per request "
-                             "with a cross-check")
+                        help="race the configured pipeline against its "
+                             "no-cache rung per request with a "
+                             "cross-check")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="periodically rewrite FILE as a Prometheus "
                              "snapshot (also served at /metrics)")
@@ -820,8 +815,7 @@ def selfcheck(argv=None):
                         help="print one span tree + metrics per query")
     parser.add_argument("--timeout", type=float, default=30.0)
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the memoization caches and "
-                             "cross-round incremental solving")
+                        help="disable the memoization caches")
     _add_budget_arguments(parser)
     _add_store_argument(parser)
     parser.add_argument("--inject-fault", action="append", default=[],

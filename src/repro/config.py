@@ -123,10 +123,6 @@ class SolverConfig:
     max_loop_length: int = 6
     use_overapproximation: bool = True
     use_static_analysis: bool = True
-    # Cross-round incrementality: keep one SAT solver alive across
-    # refinement rounds, reusing unchanged flattened fragments under
-    # activation literals (see DESIGN.md Section 6).
-    use_incremental: bool = True
     # Solver-wide memoization caches (automata operations, regex
     # compilation); repro.cache.disabled() wraps the run when False.
     use_caches: bool = True

@@ -110,16 +110,12 @@ class Flattener:
 
     # -- global structure -------------------------------------------------------
 
-    def flatten(self):
-        """The full flattening as one formula (conjunction of fragments)."""
-        return conj(*[formula for _, formula in self.fragments()])
-
     def fragments(self):
         """The flattening as keyed fragments for incremental solving.
 
         Returns an ordered list of ``(key, formula)`` pairs — one fragment
-        per restricted variable (its PFA structure) and one per constraint.
-        Their conjunction equals :meth:`flatten`.  With a
+        per restricted variable (its PFA structure) and one per constraint;
+        ``flatten_R(problem)`` is their conjunction.  With a
         ``fragment_cache``, a fragment whose source PFAs are the identical
         objects as last round is returned verbatim, fresh-name counters
         untouched, so the incremental SMT session recognizes it by

@@ -23,8 +23,8 @@ construction — it may answer UNKNOWN, never crash or lie.  ``solve``
 therefore runs a **graceful-degradation ladder**: an internal failure
 (a :class:`SolverError`, a cache inconsistency, a decoded model failing
 concrete validation) does not escape but triggers a retry on the next
-rung — incremental session → one-shot solve → caches disabled → minimal
-pipeline (presolve/overapproximation/analysis off).  The rung taken is
+rung — default pipeline → caches disabled → minimal pipeline
+(presolve/overapproximation/analysis off).  The rung taken is
 recorded in ``stats["degraded_to"]`` and as a tracer event per failed
 rung; a validation-failing model is quarantined, never returned.
 Resource exhaustion is *not* degraded (retrying would burn more budget):
@@ -49,15 +49,13 @@ from repro.core.strategy import (
     analyze_lengths, build_restriction, loop_length_hint,
 )
 from repro.errors import ResourceLimit, SolverError
-from repro.logic.formula import variables_of
 from repro.obs import scope as obs_scope
-from repro.smt import IncrementalSmtSession, solve_formula
+from repro.smt import IncrementalSmtSession
 from repro.strings.ast import StringProblem
 from repro.strings.eval import check_model, failing_constraints
 from repro.strings.ops import ProblemBuilder
 
-DEGRADATION_LADDER = ("incremental", "oneshot", "no-cache", "minimal",
-                      "give-up")
+DEGRADATION_LADDER = ("default", "no-cache", "minimal", "give-up")
 """Rung names of the degradation ladder, in the order they are tried.
 ``give-up`` is the terminal rung: every configuration failed and the
 answer is an UNKNOWN attributed to ``internal-error``."""
@@ -65,10 +63,8 @@ answer is an UNKNOWN attributed to ``internal-error``."""
 
 def _rung_name(config):
     """The ladder rung a configuration corresponds to."""
-    if config.use_incremental:
-        return "incremental"
     if config.use_caches:
-        return "oneshot"
+        return "default"
     if config.use_presolve:
         return "no-cache"
     return "minimal"
@@ -267,11 +263,9 @@ class TrauSolver:
         base = self.config
         candidates = [
             base,
-            replace(base, use_incremental=False),
-            replace(base, use_incremental=False, use_caches=False),
-            replace(base, use_incremental=False, use_caches=False,
-                    use_presolve=False, use_overapproximation=False,
-                    use_static_analysis=False),
+            replace(base, use_caches=False),
+            replace(base, use_caches=False, use_presolve=False,
+                    use_overapproximation=False, use_static_analysis=False),
         ]
         rungs = []
         seen = set()
@@ -372,15 +366,13 @@ class TrauSolver:
         # Tseitin cache) for all rounds, plus the carriers that keep
         # fragments identical between rounds — the PFA objects themselves
         # and their flattened formulas.
-        incremental = config.use_incremental
-        session = IncrementalSmtSession(config) if incremental else None
-        pfa_reuse = {} if incremental else None
-        frag_cache = {} if incremental else None
+        session = IncrementalSmtSession(config)
+        pfa_reuse = {}
+        frag_cache = {}
         store_fp = None
         if store is not None:
             store_fp = _cache.problem_fingerprint(expanded)
-            if session is not None:
-                self._seed_session(store, session, store_fp, tracer, metrics)
+            self._seed_session(store, session, store_fp, tracer, metrics)
 
         try:
             for round_index, step in enumerate(config.schedule(q0)):
@@ -414,7 +406,7 @@ class TrauSolver:
             # worth shipping to the next worker boot (they are re-proved
             # before reuse, so even an interrupted session's harvest is
             # safe to offer).
-            if session is not None and store is not None:
+            if store is not None:
                 lemmas = session.harvest_lemmas()
                 if lemmas:
                     store.put("session.lemmas",
@@ -446,24 +438,22 @@ class TrauSolver:
             tracer.event("store.warm_start", lemmas=installed)
 
     def _round(self, problem, normalized, expanded, step, names, hints,
-               round_index, deadline, tracer, metrics, stats,
-               session=None, pfa_reuse=None, frag_cache=None, config=None,
-               store=None, store_fp=None):
+               round_index, deadline, tracer, metrics, stats, session,
+               pfa_reuse, frag_cache, config, store, store_fp):
         """One refinement round; None means "too small, refine"."""
-        config = config or self.config
         counter_bound = deadline.parikh_counter_bound \
             or config.parikh_counter_bound
 
-        # Persisted flattener output (incremental mode only): keyed by the
-        # round shape AND the fresh-name counter at round entry, so a hit
-        # only happens when the stored fragments embed exactly the names
-        # this factory would have allocated.  Reused fragments are never
-        # allowed to transfer UNSAT (complete is forced False below): a
-        # stale or subtly-wrong fragment set can cost a wasted round or a
-        # model that fails validation, never a wrong verdict.
+        # Persisted flattener output: keyed by the round shape AND the
+        # fresh-name counter at round entry, so a hit only happens when
+        # the stored fragments embed exactly the names this factory would
+        # have allocated.  Reused fragments are never allowed to transfer
+        # UNSAT (complete is forced False below): a stale or subtly-wrong
+        # fragment set can cost a wasted round or a model that fails
+        # validation, never a wrong verdict.
         frag_key = None
         frag_entry = None
-        if store is not None and session is not None:
+        if store is not None:
             frag_key = (store_fp, self.alphabet.signature(),
                         step.numeric_m, step.loops, step.loop_length,
                         names.state())
@@ -484,31 +474,18 @@ class TrauSolver:
                 restriction, complete = build_restriction(
                     expanded, step, names, self.alphabet, hints, round_index,
                     reuse=pfa_reuse)
-            with tracer.span("flatten") as span:
+            with tracer.span("flatten"):
                 flattener = Flattener(expanded, restriction, self.alphabet,
                                       names, counter_bound,
                                       fragment_cache=frag_cache,
                                       deadline=deadline)
-                if session is not None:
-                    fragments = flattener.fragments()
-                    formula = None
-                else:
-                    formula = flattener.flatten()
-                    if metrics.enabled:
-                        lia_vars = len(variables_of(formula))
-                        span.set(lia_vars=lia_vars)
-                        metrics.observe("flatten.lia_vars", lia_vars)
+                fragments = flattener.fragments()
             if frag_key is not None:
                 store.put("flatten.fragments", frag_key,
                           {"restriction": dict(restriction),
                            "fragments": list(fragments),
                            "names_after": names.state()})
-        if session is not None:
-            result = session.solve(fragments, deadline=deadline)
-        else:
-            result = solve_formula(formula, deadline=deadline,
-                                   config=config,
-                                   simplify=config.use_presolve)
+        result = session.solve(fragments, deadline=deadline)
         if result.status == "unknown" and "stopped_by" in result.stats:
             # Remember which budget cut the round short: a later
             # refinement-exhausted UNKNOWN is then attributable too.

@@ -13,9 +13,9 @@ cross-solver comparison; this package is the systematic version of it:
   leading-zero padding under the toNum NaN semantics, conjunct
   shuffling, fresh-variable equation splitting).
 * :mod:`repro.diff.driver` — the differential driver: every problem runs
-  through the PFA solver (incremental and one-shot pipelines) and the
-  enumerative oracle; verdicts are cross-checked, SAT models re-validated
-  concretely, and metamorphic verdict stability enforced.
+  through the PFA solver and the enumerative oracle; verdicts are
+  cross-checked, SAT models re-validated concretely, and metamorphic
+  verdict stability enforced.
 * :mod:`repro.diff.shrink` — a greedy shrinker that minimizes any
   disagreement to a small reproducer and serializes it as an ``.smt2``
   file under ``tests/regressions/`` (auto-collected by the regression

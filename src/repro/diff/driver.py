@@ -1,11 +1,9 @@
 """The differential driver: cross-check solvers on generated problems.
 
-Every generated problem runs through three engines:
+Every generated problem runs through two engines:
 
 * ``pfa-inc`` — :class:`~repro.core.solver.TrauSolver` with the default
-  (cross-round incremental) pipeline;
-* ``pfa-oneshot`` — the same solver with incremental solving disabled,
-  so the two configurations cross-check each other;
+  pipeline;
 * ``enum`` — the :class:`~repro.baselines.enumerative.EnumerativeSolver`
   oracle, complete within the generator's bounded domain.
 
@@ -28,7 +26,6 @@ campaign's coverage is visible.
 
 import random
 import time
-from dataclasses import replace
 
 from repro.baselines.enumerative import EnumerativeSolver
 from repro.config import DEFAULT_CONFIG
@@ -122,9 +119,6 @@ class DifferentialDriver:
         self.engines = {
             "pfa-inc": TrauSolver(config=DEFAULT_CONFIG,
                                   validate=validate_solver),
-            "pfa-oneshot": TrauSolver(
-                config=replace(DEFAULT_CONFIG, use_incremental=False),
-                validate=validate_solver),
             "enum": EnumerativeSolver(
                 max_total_length=self.config.max_len + 2),
         }

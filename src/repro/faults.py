@@ -57,8 +57,9 @@ from repro.errors import FaultInjected, ResourceLimit
 CATALOG = {
     "cache.lookup": "LRUCache.get — memoization lookup (any cache)",
     "cache.store": "LRUCache.put — memoization insert (any cache)",
-    "smt.session.solve": "IncrementalSmtSession.solve — cross-round query",
-    "smt.solve": "solve_formula — one-shot DPLL(T) query",
+    "smt.session.solve": "IncrementalSmtSession.solve — every DPLL(T) "
+                         "query: the over-approximation's and each "
+                         "refinement round's",
     "sat.solve": "SatSolver.solve — CDCL search entry",
     "automata.determinize": "NFA.determinize — subset construction",
     "automata.intersect": "NFA.intersect — product construction",

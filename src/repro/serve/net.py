@@ -54,7 +54,7 @@ from repro import faults as _faults
 from repro.config import NetConfig, SolverConfig
 from repro.obs import TelemetryAggregator, render_prometheus, write_snapshot
 from repro.serve.router import ShardRouter
-from repro.serve.service import SolverService
+from repro.serve.service import SolverService, default_portfolio
 from repro.smtlib import load_problem
 from repro.strings import check_model
 
@@ -172,8 +172,7 @@ class NetServer:
         persistent store.  Also the restart path after a kill."""
         portfolio = None
         if self.portfolio:
-            from repro.serve.service import default_portfolio
-            portfolio = default_portfolio()
+            portfolio = default_portfolio(self.solver_config)
         per_shard = max(8, self.config.max_open_requests
                         // max(1, self.config.shards))
         return SolverService(

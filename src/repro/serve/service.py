@@ -25,9 +25,9 @@ The moving parts, on top of :class:`~repro.serve.pool.WorkerPool`:
   without burning another worker — the circuit breaker that stops one
   pathological instance from chewing through the pool.
 * **Portfolio mode** — each request races one attempt per
-  :class:`PortfolioEntry` (e.g. the incremental pipeline vs. the
-  one-shot no-cache rung).  A SAT answer only wins after its model
-  re-validates concretely (``strings/eval``); because SAT carries that
+  :class:`PortfolioEntry` (e.g. the default pipeline vs. its no-cache
+  rung).  A SAT answer only wins after its model re-validates
+  concretely (``strings/eval``); because SAT carries that
   certificate, a validated SAT finalizes immediately and cancels the
   losers.  UNSAT carries no certificate, so it waits for the remaining
   attempts: if a validated SAT then lands, the SAT-vs-UNSAT
@@ -78,14 +78,13 @@ class PortfolioEntry:
         return "PortfolioEntry(%s)" % self.label
 
 
-def default_portfolio():
-    """The stock race: the full incremental pipeline against the
-    one-shot no-cache rung (diverse failure modes, same semantics)."""
+def default_portfolio(base):
+    """The stock race over the configured solver *base*: the pipeline as
+    configured against its no-cache rung (diverse failure modes, same
+    semantics and budgets)."""
     from dataclasses import replace
-    base = SolverConfig()
-    return (PortfolioEntry("incremental", base),
-            PortfolioEntry("oneshot", replace(base, use_incremental=False,
-                                              use_caches=False)))
+    return (PortfolioEntry("default", base),
+            PortfolioEntry("no-cache", replace(base, use_caches=False)))
 
 
 def problem_fingerprint(problem):

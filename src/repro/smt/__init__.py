@@ -1,6 +1,5 @@
 """Lazy SMT(LIA) solver: CDCL SAT core + branch-and-bound integer theory."""
 
-from repro.smt.session import IncrementalSmtSession
-from repro.smt.solver import SmtResult, solve_formula
+from repro.smt.session import IncrementalSmtSession, SmtResult, solve_formula
 
 __all__ = ["IncrementalSmtSession", "SmtResult", "solve_formula"]

@@ -1,20 +1,40 @@
-"""Incremental SMT solving across refinement rounds.
+"""Lazy DPLL(T) over linear integer arithmetic, incremental across queries.
 
-``solve_formula`` treats every query as a cold start; the CEGAR loop of
-:class:`~repro.core.solver.TrauSolver`, however, feeds it a *sequence* of
-round formulas that share most of their structure (a refinement round only
-replaces the fragments whose PFA grew).  An :class:`IncrementalSmtSession`
-exploits that:
+This module stands in for Z3's core in the reproduction (the paper
+implements its procedure as a Z3 theory plugin).  A query is a boolean
+combination of linear atoms, handed over as keyed **fragments**; the
+pipeline is
+
+1. presolve — per fragment, eliminate variables no other fragment
+   mentions and propagate intervals;
+2. Tseitin — CNF skeleton with canonicalized atoms;
+3. root propagation — atoms unit propagation implies under the query's
+   fragments are asserted into the (incremental) integer solver once;
+4. lazy loop — the CDCL core enumerates propositional models; the atoms
+   the model commits to (skipping don't-care polarities that never occur
+   in the CNF) are checked by branch-and-bound inside a push/pop frame; a
+   theory conflict adds its (negated) core as a blocking clause.
+
+Soundness: a returned model satisfies every asserted atom with the
+polarity the SAT model chose, hence satisfies the formula (the skeleton
+is monotone in the unasserted don't-care atoms).  Completeness relative
+to the budgets: every propositional model is either accepted or excluded
+by a clause that only rules out theory-inconsistent assignments.
+
+:func:`solve_formula` is a session with one round.  The CEGAR loop of
+:class:`~repro.core.solver.TrauSolver` instead feeds one session a
+*sequence* of round formulas that share most of their structure (a
+refinement round only replaces the fragments whose PFA grew).  An
+:class:`IncrementalSmtSession` exploits that:
 
 * one :class:`~repro.sat.SatSolver` lives for the whole session, so learnt
   clauses, variable activities and saved phases carry over between rounds;
 * one :class:`~repro.logic.cnf.AtomRegistry` plus a persistent Tseitin
   node cache keep atom-to-variable numbering stable, so an atom shared by
   two rounds is *the same* SAT variable in both;
-* each round formula arrives as keyed **fragments**.  A fragment whose
-  formula is unchanged since the previous round is reused wholesale (its
-  clauses are already in the solver); a changed fragment is re-encoded and
-  its stale version is retired permanently.
+* a fragment whose formula is unchanged since the previous round is
+  reused wholesale (its clauses are already in the solver); a changed
+  fragment is re-encoded and its stale version is retired permanently.
 
 Soundness of clause reuse (see DESIGN.md Section 6): definitional Tseitin
 clauses only relate fresh label variables to their definitions, so they
@@ -36,18 +56,50 @@ valid regardless of which fragments are active — so later rounds inherit
 them too.
 """
 
+from math import inf
+
 from repro import faults as _faults
 from repro.config import Deadline, DEFAULT_CONFIG
 from repro.errors import SolverError
 from repro.lia.branch_bound import IntegerSolver
 from repro.logic.cnf import AtomRegistry, encode_into
 from repro.logic.formula import BoolConst, atoms_of, nnf, variables_of
-from math import inf
-
 from repro.logic.presolve import collect_bounds, presolve, reconstruct_model
 from repro.obs import current_metrics, current_tracer
 from repro.sat import SAT, UNSAT, SatSolver
-from repro.smt.solver import SmtResult, corrupt_result
+
+
+class SmtResult:
+    """Outcome of an SMT query."""
+
+    __slots__ = ("status", "model", "stats")
+
+    def __init__(self, status, model=None, stats=None):
+        self.status = status      # "sat" | "unsat" | "unknown"
+        self.model = model        # var name -> int, when sat
+        self.stats = stats or {}
+
+    def __repr__(self):
+        return "SmtResult(%s)" % self.status
+
+
+def corrupt_result(result):
+    """The mutator the ``smt.session.solve`` corrupt-mode fault point
+    applies: perturb *every* model value of a SAT answer (a
+    single-variable lie could land on an auxiliary the decoder ignores),
+    so the decoded strings fail concrete validation and exercise the
+    model quarantine of the degradation ladder."""
+    if result.status == "sat" and result.model:
+        for name, value in list(result.model.items()):
+            result.model[name] = (value + 1) if isinstance(value, int) else 0
+    return result
+
+
+def solve_formula(formula, deadline=None, config=None):
+    """Decide satisfiability of a linear-atom formula over the integers
+    (a one-round :class:`IncrementalSmtSession`)."""
+    return IncrementalSmtSession(config).solve([("formula", formula)],
+                                               deadline)
 
 
 class _Fragment:
@@ -177,14 +229,13 @@ class IncrementalSmtSession:
 
         *fragments* is an ordered sequence of ``(key, formula)`` pairs;
         fragments keyed like a previous round's and structurally equal to
-        it are reused without re-encoding.  Returns an
-        :class:`~repro.smt.solver.SmtResult` exactly like
-        ``solve_formula`` would for the conjunction.
+        it are reused without re-encoding.  Returns the
+        :class:`SmtResult` for the conjunction.
         """
         if _faults.ARMED:
             _faults.point("smt.session.solve")
         tracer = current_tracer()
-        with tracer.span("smt.solve", incremental=True) as span:
+        with tracer.span("smt.solve") as span:
             result = self._solve(fragments, deadline)
             if _faults.ARMED:
                 result = _faults.corrupt("smt.session.solve", result,

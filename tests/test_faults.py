@@ -97,7 +97,7 @@ class TestChaosTriple:
         result, fault = solve_with_fault(problem, spec)
         assert_contract(problem, result, "sat")
         if fault.fired and transient:
-            # A one-shot failure must be absorbed by the next rung.
+            # A single failure must be absorbed by the next rung.
             assert result.status == "sat"
             assert result.stats.get("degraded_to") in DEGRADATION_LADDER
         if result.stats.get("degraded_to") == "give-up":
@@ -138,7 +138,7 @@ class TestChaosTriple:
         assert result.status == "sat"
         assert check_model(problem, result.model)
 
-    @pytest.mark.parametrize("point", ["smt.solve", "lia.check"])
+    @pytest.mark.parametrize("point", ["smt.session.solve", "lia.check"])
     def test_resource_fault_is_attributable(self, point):
         """An injected ResourceLimit is budget exhaustion, not a crash:
         no ladder retry, just an attributable unknown."""
@@ -157,20 +157,25 @@ class TestQuarantine:
 
     @pytest.mark.parametrize("point", ["solver.decode", "smt.session.solve"])
     def test_corrupted_model_is_quarantined(self, point):
+        # The session seam's first hit is the over-approximation's query,
+        # whose model nothing decodes; skip it to corrupt a round's.
+        after = 1 if point == "smt.session.solve" else 0
         problem = sat_problem()
-        result, fault = solve_with_fault(problem, point + ":corrupt:times=1")
+        result, fault = solve_with_fault(
+            problem, "%s:corrupt:after=%d,times=1" % (point, after))
         assert result.status == "sat"
         assert check_model(problem, result.model)
         if fault.fired:
             # The lie was caught by validation and the rung retried.
             assert result.stats.get("degraded_to") in DEGRADATION_LADDER
 
-    def test_corrupted_oneshot_model_never_escapes(self):
-        """smt.solve also serves the over-approximation, where a corrupted
-        model only misleads a heuristic — so corruption there need not
-        force a rung change, but a SAT answer must still validate."""
+    def test_corrupted_smt_model_never_escapes(self):
+        """smt.session.solve also serves the over-approximation, where a
+        corrupted model only misleads a heuristic — so corruption there
+        need not force a rung change, but a SAT answer must still
+        validate."""
         problem = sat_problem()
-        result, fault = solve_with_fault(problem, "smt.solve:corrupt")
+        result, fault = solve_with_fault(problem, "smt.session.solve:corrupt")
         assert fault.fired
         assert result.status in ("sat", "unknown")
         if result.status == "sat":
@@ -200,7 +205,7 @@ class TestLadderBehaviour:
                                          "smt.session.solve:raise:times=1")
         assert fault.fired
         assert result.status == "sat"
-        assert result.stats["degraded_to"] == "oneshot"
+        assert result.stats["degraded_to"] == "no-cache"
         assert any("smt.session.solve" in entry
                    for entry in result.stats["degradations"])
 
@@ -220,8 +225,7 @@ class TestLadderBehaviour:
         assert "degraded_to" not in result.stats
 
 
-MINIMAL_CONFIG = SolverConfig(use_incremental=False, use_caches=False,
-                              use_presolve=False,
+MINIMAL_CONFIG = SolverConfig(use_caches=False, use_presolve=False,
                               use_overapproximation=False,
                               use_static_analysis=False)
 

@@ -1,7 +1,7 @@
 """Tests for the flattening of atomic constraints (Sections 6-8).
 
-Strategy: flatten a small problem under a known restriction, solve the
-linear formula, decode, and check the decoded interpretation against the
+Strategy: flatten a small problem under a known restriction, solve its
+linear fragments, decode, and check the decoded interpretation against the
 concrete evaluator — plus targeted UNSAT cases per constraint kind.
 """
 
@@ -15,7 +15,7 @@ from repro.core.preprocess import expand_duplicates
 from repro.core.strategy import build_restriction
 from repro.config import DEFAULT_CONFIG
 from repro.logic import eq, ge, le, var
-from repro.smt import solve_formula
+from repro.smt import IncrementalSmtSession
 from repro.strings import (
     CharNeq, IntConstraint, ProblemBuilder, StrVar, ToNum, WordEquation,
     check_model, str_len,
@@ -30,7 +30,7 @@ def flatten_and_solve(problem, hints=None):
     hints = hints if hints is not None else analyze_lengths(expanded, A)
     restriction, _ = build_restriction(expanded, step, names, A, hints)
     flattener = Flattener(expanded, restriction, A, names, 10 ** 6)
-    result = solve_formula(flattener.flatten())
+    result = IncrementalSmtSession().solve(flattener.fragments())
     if result.status != "sat":
         return result.status, None
     interp = {}

@@ -323,6 +323,28 @@ class TestChaos:
         asyncio.run(scenario())
 
 
+class TestPortfolioShards:
+    def test_portfolio_arms_keep_the_configured_budgets(self):
+        """``netserve --portfolio`` races the configured pipeline against
+        its no-cache rung; both arms keep the ``--max-*`` budgets."""
+        config = SolverConfig(bb_node_limit=17, smt_iteration_limit=23,
+                              automata_state_limit=4099)
+        server = NetServer(
+            solver_config=config,
+            net_config=NetConfig(host="127.0.0.1", port=0, shards=1,
+                                 jobs_per_shard=1),
+            grace=1.0, portfolio=True)
+        with server.router as router:
+            entries = router._shards[0].service.entries
+        assert [entry.label for entry in entries] == ["default", "no-cache"]
+        assert [entry.config.use_caches for entry in entries] \
+            == [True, False]
+        for entry in entries:
+            assert (entry.config.bb_node_limit,
+                    entry.config.smt_iteration_limit,
+                    entry.config.automata_state_limit) == (17, 23, 4099)
+
+
 class TestNetserveCli:
     def test_netserve_boots_answers_and_drains_on_sigterm(self):
         """The ``repro netserve`` glue end-to-end: a real process, a

@@ -240,14 +240,14 @@ class TestFlightRecorder:
         rec = FlightRecorder(str(tmp_path), source="service")
         rec.push(request_entry("good", verdict="sat", elapsed=0.1))
         rec.push(request_entry("bad", verdict="unknown", elapsed=9.9,
-                               stats={"degraded_to": "oneshot",
+                               stats={"degraded_to": "no-cache",
                                       "irrelevant": 1}))
-        path = rec.dump("degraded", detail="degraded to oneshot")
+        path = rec.dump("degraded", detail="degraded to no-cache")
         assert os.path.basename(path).startswith("flight-service-pid")
         body = read_flight(path)
         assert body["trigger"] == "degraded"
         assert body["request"]["name"] == "bad"
-        assert body["request"]["stats"] == {"degraded_to": "oneshot"}
+        assert body["request"]["stats"] == {"degraded_to": "no-cache"}
         assert [e["name"] for e in body["recent"]] == ["good"]
 
     def test_directory_none_returns_text(self):

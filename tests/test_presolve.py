@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SolverConfig
 from repro.logic import (
     FALSE, TRUE, atoms_of, conj, disj, eq, evaluate, ge, le, ne, var,
     variables_of,
@@ -90,8 +91,9 @@ class TestEquisatisfiability:
     def test_presolve_preserves_satisfiability(self, f):
         bounded = conj(f, *[conj(ge(var(v), -12), le(var(v), 12))
                             for v in ("x", "y", "z")])
-        direct = solve_formula(bounded, simplify=False)
-        simplified = solve_formula(bounded, simplify=True)
+        direct = solve_formula(bounded,
+                               config=SolverConfig(use_presolve=False))
+        simplified = solve_formula(bounded)
         assert direct.status == simplified.status
         if simplified.status == "sat":
             assert evaluate(bounded, simplified.model)

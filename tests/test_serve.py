@@ -200,15 +200,15 @@ class TestSolverService:
 
 
 class TestPortfolio:
-    ENTRIES = (PortfolioEntry("incremental"),
-               PortfolioEntry("oneshot"))
+    ENTRIES = (PortfolioEntry("default"),
+               PortfolioEntry("no-cache"))
 
     def test_validated_sat_wins_the_race(self):
         with SolverService(portfolio=self.ENTRIES, jobs=2,
                            timeout=20) as service:
             result = service.wait(service.submit(sat_problem()))
         assert result.status == "sat"
-        assert result.winner in ("incremental", "oneshot")
+        assert result.winner in ("default", "no-cache")
 
     def test_disagreement_is_caught_and_quarantined(self):
         # One arm lies (sat flipped to unsat), the honest arm is delayed
@@ -218,8 +218,8 @@ class TestPortfolio:
         with SolverService(portfolio=self.ENTRIES, jobs=2,
                            timeout=20) as service:
             handle = service.submit(problem, entry_fault_specs={
-                "oneshot": (LIE,),
-                "incremental": ("serve.worker.request:delay:seconds=1",),
+                "no-cache": (LIE,),
+                "default": ("serve.worker.request:delay:seconds=1",),
             })
             result = service.wait(handle)
             assert result.answer == "unknown(disagreement)"
@@ -230,4 +230,4 @@ class TestPortfolio:
                            timeout=20) as service:
             result = service.wait(service.submit(unsat_problem()))
         assert result.status == "unsat"
-        assert result.winner in ("incremental", "oneshot")
+        assert result.winner in ("default", "no-cache")

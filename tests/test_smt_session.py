@@ -1,4 +1,7 @@
-"""Tests for cross-round incremental SMT solving (repro.smt.session)."""
+"""Tests for the lazy DPLL(T) loop and its cross-round incremental
+sessions (repro.smt.session)."""
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -60,7 +63,7 @@ class TestSolveUnderAssumptions:
         assert sat.solve() == SAT
 
 
-# -- IncrementalSmtSession agrees with fresh one-shot solving ----------------
+# -- random linear formulas over x, y, z -------------------------------------
 
 
 def exprs():
@@ -82,15 +85,41 @@ def small_formulas():
                      st.sampled_from([conj]))
 
 
-BOUNDS = conj(*[conj(ge(var(n), -10), le(var(n), 10)) for n in NAMES])
+BOX = range(-10, 11)
+BOUNDS = conj(*[conj(ge(var(n), BOX[0]), le(var(n), BOX[-1]))
+                for n in NAMES])
+
+
+# -- solve_formula agrees with enumerating the box ---------------------------
+
+
+class TestSolveFormulaAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(small_formulas())
+    def test_status_and_model_match_brute_force(self, formula):
+        """Inside the BOUNDS box, the verdict equals brute-force
+        enumeration of the box with the evaluator (a reference sharing no
+        code with the SMT loop), and a sat model satisfies the formula."""
+        bounded = conj(BOUNDS, formula)
+        result = solve_formula(bounded)
+        satisfiable = any(
+            evaluate(formula, dict(zip(NAMES, point))) is True
+            for point in itertools.product(BOX, repeat=len(NAMES)))
+        assert result.status == ("sat" if satisfiable else "unsat"), \
+            "solve_formula=%s for %s" % (result.status, formula)
+        if result.status == "sat":
+            assert evaluate(bounded, result.model) is True
+
+
+# -- IncrementalSmtSession agrees with fresh one-round sessions -------------
 
 
 def check_round(session, fragments, reference):
     expected = solve_formula(reference)
     got = session.solve(fragments)
     assert got.status == expected.status, \
-        "session=%s one-shot=%s for %s" % (got.status, expected.status,
-                                           reference)
+        "session=%s fresh=%s for %s" % (got.status, expected.status,
+                                        reference)
     if got.status == "sat":
         assert evaluate(reference, got.model) is True
 
@@ -100,7 +129,8 @@ class TestSessionMatchesOneShot:
     @given(st.lists(small_formulas(), min_size=1, max_size=4))
     def test_rounds_agree_with_fresh_solves(self, rounds):
         """Each round (bounds + stable fragment + round fragment) must
-        answer exactly like a fresh solve of the conjunction."""
+        answer exactly like a fresh one-round session on the
+        conjunction."""
         session = IncrementalSmtSession(SolverConfig())
         stable = rounds[0]
         for formula in rounds:
@@ -144,15 +174,10 @@ class TestSessionMatchesOneShot:
 
 class TestSelfcheckKnobIndependence:
     def test_statuses_identical_across_knobs(self):
-        configs = [
-            SolverConfig(),
-            SolverConfig(use_caches=False),
-            SolverConfig(use_incremental=False),
-            SolverConfig(use_caches=False, use_incremental=False),
-        ]
+        configs = [SolverConfig(), SolverConfig(use_caches=False)]
         for name, problem, expected in _selfcheck_problems():
             statuses = {
-                (config.use_caches, config.use_incremental):
+                config.use_caches:
                     TrauSolver(config=config).solve(problem,
                                                     timeout=60.0).status
                 for config in configs}

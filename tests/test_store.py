@@ -429,8 +429,7 @@ class TestSolverIntegration:
         store.reset()
         cache.clear_all()
         solver = TrauSolver(config=SolverConfig(store_path=root,
-                                                use_caches=False,
-                                                use_incremental=False))
+                                                use_caches=False))
         result = solver.solve(_sat_problem(), timeout=30)
         assert result.status == "sat"
         assert result.stats.get("store") != "hit"

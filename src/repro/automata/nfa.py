@@ -22,30 +22,11 @@ EPS = None
 # Keys are structural fingerprints, so equal automata share results no
 # matter where they were built; values are NFAs, which are immutable by
 # convention, so sharing them between callers is safe.
-
-
-def _stored_nfa_ok(value, _meta):
-    """Validator for NFAs read back from the persistent store: rebuild
-    through the checking constructor, which rejects out-of-range states
-    and malformed transition triples."""
-    try:
-        NFA(value.num_states, value.transitions, value.initial, value.finals)
-    except Exception:
-        return False
-    return True
-
-
-# The expensive constructions (subset construction, product, Hopcroft)
-# additionally persist across worker boots via repro.store; the cheap
-# normalizations stay process-local.
 _EPSFREE_CACHE = _cache.LRUCache("nfa.without_epsilon", 512)
 _TRIM_CACHE = _cache.LRUCache("nfa.trim", 512)
-_DETERMINIZE_CACHE = _cache.LRUCache("nfa.determinize", 256, persist=True,
-                                     validator=_stored_nfa_ok)
-_MINIMIZE_CACHE = _cache.LRUCache("nfa.minimize", 256, persist=True,
-                                  validator=_stored_nfa_ok)
-_INTERSECT_CACHE = _cache.LRUCache("nfa.intersect", 256, persist=True,
-                                   validator=_stored_nfa_ok)
+_DETERMINIZE_CACHE = _cache.LRUCache("nfa.determinize", 256)
+_MINIMIZE_CACHE = _cache.LRUCache("nfa.minimize", 256)
+_INTERSECT_CACHE = _cache.LRUCache("nfa.intersect", 256)
 
 
 class NFA:

@@ -261,13 +261,7 @@ def parse_regex(text, alphabet=DEFAULT_ALPHABET):
     return _RegexParser(text, alphabet).parse()
 
 
-def _stored_compile_ok(value, _meta):
-    from repro.automata.nfa import _stored_nfa_ok
-    return _stored_nfa_ok(value, _meta)
-
-
-_COMPILE_CACHE = _cache.LRUCache("regex.compile", 512, persist=True,
-                                 validator=_stored_compile_ok)
+_COMPILE_CACHE = _cache.LRUCache("regex.compile", 512)
 
 
 def regex_to_nfa(text_or_regex, alphabet=DEFAULT_ALPHABET):

@@ -18,7 +18,9 @@ Discipline (see DESIGN.md Section 6):
   running time but never the memory asymptotics or the results.
 
 Caches are process-global and survive across solver instances on
-purpose: cross-instance reuse is where benchmark suites win.  The
+purpose: cross-instance reuse is where benchmark suites win.  They are
+never persisted: the on-disk store (:mod:`repro.store`) keeps validated
+verdicts only, so a new worker process starts with empty caches.  The
 ``--no-cache`` CLI flag (and ``SolverConfig.use_caches=False``) routes
 through :func:`set_enabled` / :class:`disabled`; with caching disabled
 every lookup misses and nothing is stored, so results are identical by
@@ -73,10 +75,9 @@ class LRUCache:
     ``cache.<name>.hits`` / ``cache.<name>.misses``.
     """
 
-    __slots__ = ("name", "maxsize", "_data", "hits", "misses", "persist",
-                 "validator")
+    __slots__ = ("name", "maxsize", "_data", "hits", "misses")
 
-    def __init__(self, name, maxsize=256, persist=False, validator=None):
+    def __init__(self, name, maxsize=256):
         if maxsize <= 0:
             raise ValueError("cache maxsize must be positive")
         self.name = name
@@ -84,8 +85,6 @@ class LRUCache:
         self._data = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.persist = persist
-        self.validator = validator
         _REGISTRY[name] = self
 
     def __len__(self):
@@ -101,14 +100,6 @@ class LRUCache:
         try:
             value = data[key]
         except KeyError:
-            if self.persist:
-                value = self._persistent_get(key)
-                if value is not MISSING:
-                    data[key] = value
-                    if len(data) > self.maxsize:
-                        data.popitem(last=False)
-                    self.hits += 1
-                    return value
             self.misses += 1
             metrics = current_metrics()
             if metrics.enabled:
@@ -137,28 +128,6 @@ class LRUCache:
         data[key] = value
         if len(data) > self.maxsize:
             data.popitem(last=False)
-        if self.persist:
-            self._persistent_put(key, value)
-
-    def _persistent_get(self, key):
-        """Second-chance lookup in the ambient persistent store.
-
-        Lazy import: :mod:`repro.store` imports this module for the
-        :data:`MISSING` sentinel and the enabled flag.  The store runs
-        ``self.validator`` on anything it returns, so a corrupt or stale
-        persisted value quarantines there instead of entering the LRU.
-        """
-        from repro import store as _store
-        store = _store.active_store()
-        if store is None:
-            return MISSING
-        return store.get("cache." + self.name, key, validator=self.validator)
-
-    def _persistent_put(self, key, value):
-        from repro import store as _store
-        store = _store.active_store()
-        if store is not None:
-            store.put("cache." + self.name, key, value)
 
     def clear(self):
         self._data.clear()

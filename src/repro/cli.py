@@ -153,21 +153,18 @@ def _error_exit(exc):
 
 def _add_store_argument(parser):
     parser.add_argument("--store", metavar="DIR", default=None,
-                        help="directory of the crash-safe persistent solve "
-                             "store, shared across runs and pool workers "
-                             "(the REPRO_STORE environment variable is the "
-                             "ambient default)")
+                        help="directory of the crash-safe persistent "
+                             "verdict store, shared across runs and pool "
+                             "workers (the REPRO_STORE environment variable "
+                             "is the ambient default)")
 
 
 def _build_config(args):
     """A SolverConfig from the CLI's robustness flags."""
     kwargs = {}
     if getattr(args, "store", None):
-        # Also installed as the process default so the cache-layer
-        # persistence (automata ops, regex compiles, length hints)
-        # engages in this process, not just in config-carrying solves.
-        from repro import store as _store
-        _store.set_default_path(args.store)
+        # The verdict store is resolved from the config of every solve
+        # (repro.store.active_store); nothing else in the process reads it.
         kwargs["store_path"] = args.store
     if getattr(args, "no_cache", False):
         kwargs["use_caches"] = False

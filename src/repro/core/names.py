@@ -26,21 +26,3 @@ class NameFactory:
 
     def is_internal(self, name):
         return name.startswith(self._marker)
-
-    def state(self):
-        """Opaque counter snapshot.
-
-        Persisted flattener fragments embed the fresh names that were
-        live when they were built; the persistent store keys fragment
-        entries by this snapshot so a reuse only happens when the
-        current factory would have allocated the very same names.
-        """
-        return self._counter
-
-    def restore(self, state):
-        """Fast-forward past names a reused fragment set embeds.
-
-        Only ever advances: rewinding could re-allocate names already
-        baked into live formulas.
-        """
-        self._counter = max(self._counter, int(state))

@@ -271,17 +271,7 @@ def derived_affix_constraints(problem, alphabet):
     return derived
 
 
-def _stored_outcome_ok(value, _meta):
-    """Validator for persisted phase outcomes: only the two legal states,
-    as a real :class:`OverapproxOutcome`.  Entries reach the store only
-    via the budget-independent put below, so everything read back is a
-    proof ("unsat") or a run-to-completion "inconclusive"."""
-    return (isinstance(value, OverapproxOutcome)
-            and value.status in ("unsat", "inconclusive"))
-
-
-_OUTCOME_CACHE = _cache.LRUCache("solver.overapprox", maxsize=256,
-                                 persist=True, validator=_stored_outcome_ok)
+_OUTCOME_CACHE = _cache.LRUCache("solver.overapprox", maxsize=256)
 
 
 def overapproximate(problem, alphabet=DEFAULT_ALPHABET, deadline=None,

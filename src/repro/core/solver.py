@@ -70,45 +70,6 @@ def _rung_name(config):
     return "minimal"
 
 
-def _stored_fragments_ok(value, _meta):
-    """Shape validator for persisted flattener output.  Deliberately
-    structural only: the *semantic* certificate for a reused fragment set
-    is downstream — its ``complete`` flag is discarded on reuse (so it
-    can never transfer UNSAT) and any SAT model it produces still passes
-    concrete validation before being returned."""
-    from repro.core.pfa import PA
-    try:
-        restriction = value["restriction"]
-        fragments = value["fragments"]
-        int(value["names_after"])
-    except Exception:
-        return False
-    if not isinstance(restriction, dict) or not isinstance(fragments, list):
-        return False
-    if not all(isinstance(name, str) and isinstance(pfa, PA)
-               for name, pfa in restriction.items()):
-        return False
-    return all(isinstance(item, tuple) and len(item) == 2
-               for item in fragments)
-
-
-def _stored_lemmas_ok(value, _meta):
-    """Shape validator for persisted warm-start lemmas; each lemma is
-    additionally re-*proved* by ``seed_lemmas`` before it is believed."""
-    if not isinstance(value, list):
-        return False
-    for lemma in value:
-        if not isinstance(lemma, tuple) or not lemma:
-            return False
-        for item in lemma:
-            if not (isinstance(item, tuple) and len(item) == 2
-                    and isinstance(item[1], bool)
-                    and hasattr(item[0], "expr")
-                    and hasattr(item[0], "negate")):
-                return False
-    return True
-
-
 def _corrupt_interp(interp):
     """Mutator for the ``solver.decode`` corrupt-mode fault point:
     perturb one decoded value so concrete validation rejects the model
@@ -181,7 +142,7 @@ class TrauSolver:
                                                     metrics)
                     if result is None:
                         result = self._solve_ladder(problem, budget, tracer,
-                                                    metrics, store=store)
+                                                    metrics)
                         if store is not None:
                             self._store_record(store, problem, verdict_key,
                                                result)
@@ -276,7 +237,7 @@ class TrauSolver:
                 rungs.append((name, config))
         return rungs
 
-    def _solve_ladder(self, problem, budget, tracer, metrics, store=None):
+    def _solve_ladder(self, problem, budget, tracer, metrics):
         """Try each ladder rung until one completes; never raises."""
         degradations = []
         last_error = None
@@ -288,7 +249,7 @@ class TrauSolver:
             try:
                 if config.use_caches:
                     result = self._solve(problem, budget, tracer,
-                                         metrics, config, store=store)
+                                         metrics, config)
                 else:
                     with _cache.disabled():
                         result = self._solve(problem, budget, tracer,
@@ -328,8 +289,7 @@ class TrauSolver:
             metrics.add("resilience.gave_up")
         return SolveResult("unknown", stats=stats)
 
-    def _solve(self, problem, deadline, tracer, metrics, config=None,
-               store=None):
+    def _solve(self, problem, deadline, tracer, metrics, config=None):
         config = config or self.config
         names = NameFactory()
         stats = {"rounds": 0}
@@ -369,122 +329,54 @@ class TrauSolver:
         session = IncrementalSmtSession(config)
         pfa_reuse = {}
         frag_cache = {}
-        store_fp = None
-        if store is not None:
-            store_fp = _cache.problem_fingerprint(expanded)
-            self._seed_session(store, session, store_fp, tracer, metrics)
 
-        try:
-            for round_index, step in enumerate(config.schedule(q0)):
-                if deadline.checkpoint(tracer):
-                    stats["stopped_by"] = "deadline"
-                    break
-                stats["rounds"] = round_index + 1
-                with tracer.span("round", round=round_index + 1,
-                                 m=step.numeric_m, p=step.loops,
-                                 q=step.loop_length) as round_span:
-                    try:
-                        result = self._round(problem, normalized, expanded,
-                                             step, names, hints, round_index,
-                                             deadline, tracer, metrics, stats,
-                                             session, pfa_reuse, frag_cache,
-                                             config, store, store_fp)
-                    except ResourceLimit as exc:
-                        # The satellite fix: name the budget that actually
-                        # tripped instead of blaming the deadline for every
-                        # exhaustion.
-                        stats["stopped_by"] = exc.reason
-                        round_span.set(status=exc.reason)
-                        return SolveResult("unknown", stats=stats)
-                    round_span.set(status="refine" if result is None
-                                   else result.status)
-                if result is not None:
-                    return result
-                # UNSAT of the under-approximation is inconclusive; refine.
-        finally:
-            # Whatever the outcome, theory lemmas learnt this session are
-            # worth shipping to the next worker boot (they are re-proved
-            # before reuse, so even an interrupted session's harvest is
-            # safe to offer).
-            if store is not None:
-                lemmas = session.harvest_lemmas()
-                if lemmas:
-                    store.put("session.lemmas",
-                              (store_fp, self.alphabet.signature()), lemmas)
+        for round_index, step in enumerate(config.schedule(q0)):
+            if deadline.checkpoint(tracer):
+                stats["stopped_by"] = "deadline"
+                break
+            stats["rounds"] = round_index + 1
+            with tracer.span("round", round=round_index + 1,
+                             m=step.numeric_m, p=step.loops,
+                             q=step.loop_length) as round_span:
+                try:
+                    result = self._round(problem, normalized, expanded,
+                                         step, names, hints, round_index,
+                                         deadline, tracer, metrics, stats,
+                                         session, pfa_reuse, frag_cache,
+                                         config)
+                except ResourceLimit as exc:
+                    # Name the budget that actually tripped instead of
+                    # blaming the deadline for every exhaustion.
+                    stats["stopped_by"] = exc.reason
+                    round_span.set(status=exc.reason)
+                    return SolveResult("unknown", stats=stats)
+                round_span.set(status="refine" if result is None
+                               else result.status)
+            if result is not None:
+                return result
+            # UNSAT of the under-approximation is inconclusive; refine.
         if "stopped_by" not in stats and deadline.expired():
             stats["stopped_by"] = "deadline"
         stats.setdefault("stopped_by", "refinement-exhausted")
         return SolveResult("unknown", stats=stats)
 
-    def _seed_session(self, store, session, store_fp, tracer, metrics):
-        """Warm-start an incremental session from persisted lemmas."""
-        key = (store_fp, self.alphabet.signature())
-        lemmas = store.get("session.lemmas", key,
-                           validator=_stored_lemmas_ok)
-        if lemmas is _store.MISSING:
-            return
-        installed, rejected = session.seed_lemmas(lemmas)
-        if rejected:
-            # A lemma's infeasibility claim failed its re-proof: the
-            # stored certificate is corrupt.  The proven remainder is
-            # already installed; the entry as a whole is quarantined.
-            store.quarantine("session.lemmas", key,
-                             "lemma re-validation failed")
-            if metrics.enabled:
-                metrics.add("store.revalidation_failures")
-        if installed:
-            if metrics.enabled:
-                metrics.add("store.lemmas_installed", installed)
-            tracer.event("store.warm_start", lemmas=installed)
-
     def _round(self, problem, normalized, expanded, step, names, hints,
                round_index, deadline, tracer, metrics, stats, session,
-               pfa_reuse, frag_cache, config, store, store_fp):
+               pfa_reuse, frag_cache, config):
         """One refinement round; None means "too small, refine"."""
         counter_bound = deadline.parikh_counter_bound \
             or config.parikh_counter_bound
 
-        # Persisted flattener output: keyed by the round shape AND the
-        # fresh-name counter at round entry, so a hit only happens when
-        # the stored fragments embed exactly the names this factory would
-        # have allocated.  Reused fragments are never allowed to transfer
-        # UNSAT (complete is forced False below): a stale or subtly-wrong
-        # fragment set can cost a wasted round or a model that fails
-        # validation, never a wrong verdict.
-        frag_key = None
-        frag_entry = None
-        if store is not None:
-            frag_key = (store_fp, self.alphabet.signature(),
-                        step.numeric_m, step.loops, step.loop_length,
-                        names.state())
-            frag_entry = store.get("flatten.fragments", frag_key,
-                                   validator=_stored_fragments_ok)
-            if frag_entry is _store.MISSING:
-                frag_entry = None
-        if frag_entry is not None:
-            restriction = frag_entry["restriction"]
-            fragments = frag_entry["fragments"]
-            complete = False
-            names.restore(frag_entry["names_after"])
-            if metrics.enabled:
-                metrics.add("store.fragment_hits")
-            tracer.event("store.fragments_reused", count=len(fragments))
-        else:
-            with tracer.span("restrict"):
-                restriction, complete = build_restriction(
-                    expanded, step, names, self.alphabet, hints, round_index,
-                    reuse=pfa_reuse)
-            with tracer.span("flatten"):
-                flattener = Flattener(expanded, restriction, self.alphabet,
-                                      names, counter_bound,
-                                      fragment_cache=frag_cache,
-                                      deadline=deadline)
-                fragments = flattener.fragments()
-            if frag_key is not None:
-                store.put("flatten.fragments", frag_key,
-                          {"restriction": dict(restriction),
-                           "fragments": list(fragments),
-                           "names_after": names.state()})
+        with tracer.span("restrict"):
+            restriction, complete = build_restriction(
+                expanded, step, names, self.alphabet, hints, round_index,
+                reuse=pfa_reuse)
+        with tracer.span("flatten"):
+            flattener = Flattener(expanded, restriction, self.alphabet,
+                                  names, counter_bound,
+                                  fragment_cache=frag_cache,
+                                  deadline=deadline)
+            fragments = flattener.fragments()
         result = session.solve(fragments, deadline=deadline)
         if result.status == "unknown" and "stopped_by" in result.stats:
             # Remember which budget cut the round short: a later
@@ -512,11 +404,6 @@ class TrauSolver:
                     tracer.event("model_quarantined")
                     if metrics.enabled:
                         metrics.add("resilience.quarantined_models")
-                    if frag_entry is not None:
-                        # The bad model came out of reused persisted
-                        # fragments: distrust the whole entry.
-                        store.quarantine("flatten.fragments", frag_key,
-                                         "model validation failed")
                     raise SolverError(
                         "decoded model fails validation on %r"
                         % failing_constraints(problem, interp,

@@ -37,19 +37,7 @@ LENGTH_HINT_THRESHOLD = 40
 unbounded and covered by a loop-based PFA instead)."""
 
 
-def _stored_hints_ok(value, _meta):
-    """Validator for persisted length hints: every hint must be an int in
-    the range the analysis itself can emit.  Hints are used as *sound*
-    bounds (a straight PFA of the hinted length is marked complete), so a
-    malformed entry is rejected rather than risked."""
-    return (isinstance(value, dict)
-            and all(isinstance(k, str) and type(v) is int
-                    and 0 <= v <= LENGTH_HINT_THRESHOLD
-                    for k, v in value.items()))
-
-
-_HINTS_CACHE = _cache.LRUCache("strategy.hints", maxsize=256, persist=True,
-                               validator=_stored_hints_ok)
+_HINTS_CACHE = _cache.LRUCache("strategy.hints", maxsize=256)
 
 
 def analyze_lengths(problem, alphabet=DEFAULT_ALPHABET, deadline=None,

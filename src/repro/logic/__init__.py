@@ -15,7 +15,6 @@ from repro.logic.formula import (
     le, lt, ge, gt, eq, ne,
     atoms_of, variables_of, evaluate, nnf, substitute,
 )
-from repro.logic.cnf import tseitin
 
 __all__ = [
     "LinExpr", "var", "const",
@@ -23,5 +22,4 @@ __all__ = [
     "conj", "disj", "neg", "implies", "iff",
     "le", "lt", "ge", "gt", "eq", "ne",
     "atoms_of", "variables_of", "evaluate", "nnf", "substitute",
-    "tseitin",
 ]

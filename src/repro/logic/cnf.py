@@ -19,14 +19,8 @@ constrain fresh label variables), which is what makes sharing them across
 rounds sound.
 """
 
-from repro.logic.formula import (
-    Atom, And, Or, BoolConst, canonical_atom_key, nnf,
-)
+from repro.logic.formula import Atom, And, Or, BoolConst
 from repro.errors import SolverError
-
-# Backwards-compatible alias: the canonicalization now lives with the Atom
-# class so its result can be cached per atom object.
-_canonical = canonical_atom_key
 
 
 class AtomRegistry:
@@ -37,10 +31,6 @@ class AtomRegistry:
         self._var_to_atom = {}
         self._next_var = 1
         self._occurrences = set()
-
-    @property
-    def variable_count(self):
-        return self._next_var - 1
 
     def fresh_var(self):
         """Allocate a SAT variable with no attached atom (Tseitin label)."""
@@ -77,10 +67,6 @@ class AtomRegistry:
         skeleton: the lazy SMT loop need not assert its atom.
         """
         return literal in self._occurrences
-
-    def theory_variables(self):
-        """All SAT variables that carry atoms."""
-        return list(self._var_to_atom)
 
 
 def encode_into(formula, registry, cache, clauses):
@@ -119,26 +105,3 @@ def encode_into(formula, registry, cache, clauses):
         return lit
 
     return encode(formula)
-
-
-def tseitin(formula, registry=None, cache=None):
-    """Convert *formula* to CNF clauses.
-
-    Returns ``(clauses, registry)`` where *clauses* is a list of lists of
-    non-zero integer literals and *registry* maps literals back to atoms.
-    An unsatisfiable input yields the empty clause; a valid one yields no
-    clauses.  Pass a persistent *registry* and *cache* to share variable
-    numbering and subformula encodings across calls.
-    """
-    if registry is None:
-        registry = AtomRegistry()
-    if cache is None:
-        cache = {}
-    formula = nnf(formula)
-    if isinstance(formula, BoolConst):
-        return ([] if formula.value else [[]]), registry
-
-    clauses = []
-    root = encode_into(formula, registry, cache, clauses)
-    clauses.append([root])
-    return clauses, registry

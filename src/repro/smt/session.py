@@ -124,10 +124,6 @@ class IncrementalSmtSession:
         # the ambient bounds its folding saw are unchanged.
         self._presolve_cache = {}
         self._globally_unsat = False
-        # Theory conflict cores learnt this session, kept as
-        # ((atom, polarity), ...) tuples: a naming-independent form the
-        # persistent store can ship to a future worker boot.
-        self._lemmas = []
         self.rounds = 0
 
     # -- per-fragment presolve ----------------------------------------------
@@ -377,71 +373,6 @@ class IncrementalSmtSession:
                 metrics.observe("smt.core_size", len(core))
             # A theory lemma is valid independently of the active guards,
             # so the blocking clause is permanent: later rounds reuse it.
-            self._remember_lemma(core)
             if not self.sat.add_clause([-tag for tag in core]):
                 self._globally_unsat = True
                 return SmtResult("unsat", stats=stats)
-
-    # -- warm starts ---------------------------------------------------------
-
-    _LEMMA_LIMIT = 128
-
-    def _remember_lemma(self, core):
-        if len(self._lemmas) >= self._LEMMA_LIMIT:
-            return
-        lemma = []
-        for tag in core:
-            atom = self.registry.atom_of(abs(tag))
-            if atom is None:
-                return
-            lemma.append((atom, tag > 0))
-        self._lemmas.append(tuple(lemma))
-
-    def harvest_lemmas(self, limit=64):
-        """Theory conflict cores learnt this session, as ``(atom,
-        polarity)`` tuples — each an LIA-infeasible conjunction, i.e. a
-        theory lemma valid in *any* formula over the same atoms.  The
-        persistent store ships them across worker boots;
-        :meth:`seed_lemmas` re-proves each before trusting it."""
-        return list(self._lemmas[:limit])
-
-    def seed_lemmas(self, lemmas, node_limit=2000):
-        """Install previously harvested lemmas, re-proving each first.
-
-        A stored lemma is a *claim* of LIA infeasibility: a bounded
-        branch-and-bound check must reproduce the proof before the
-        blocking clause is added.  A check that comes back "sat" means
-        the certificate is corrupt (counted in ``rejected``); "unknown"
-        from the bounded check is neither trusted nor blamed — the lemma
-        is simply skipped.  Returns ``(installed, rejected)``.
-        """
-        installed = rejected = 0
-        for lemma in lemmas:
-            try:
-                exprs = [(atom.expr if positive else atom.negate().expr)
-                         for atom, positive in lemma]
-            except Exception:
-                rejected += 1
-                continue
-            checker = IntegerSolver(node_limit=node_limit)
-            try:
-                result = checker.check([(expr, i + 1)
-                                        for i, expr in enumerate(exprs)])
-            except Exception:
-                rejected += 1
-                continue
-            if result.status == "unsat":
-                clause = []
-                for atom, positive in lemma:
-                    lit = self.registry.literal(atom)
-                    clause.append(-lit if positive else lit)
-                # Valid lemma clauses can only conflict at level zero if
-                # the session is already unsat from its own clauses.
-                if not self.sat.add_clause(clause):
-                    self._globally_unsat = True
-                if len(self._lemmas) < self._LEMMA_LIMIT:
-                    self._lemmas.append(tuple(lemma))
-                installed += 1
-            elif result.status == "sat":
-                rejected += 1
-        return installed, rejected

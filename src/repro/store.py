@@ -1,14 +1,21 @@
-"""Crash-safe persistent solve store (DESIGN.md Section 14).
+"""Crash-safe persistent verdict store (DESIGN.md Section 14).
 
-The in-process caches — the :mod:`repro.cache` LRUs, learned clauses,
-flattener fragments, the fingerprint-keyed outcome memos — die with the
-worker process, and pool recycling throws them away exactly when load is
-highest.  This module persists the valuable subset on disk, shared by
-every worker of a pool, with one non-negotiable rule: **a stored entry
-is a claim, not a fact**.  Nothing read from disk is trusted until it
-passes its integrity framing and its kind-specific validator, and a
-failed check routes the entry into quarantine (tombstoned, counted,
-flight-dumped) instead of ever surfacing a wrong answer.
+A verdict dies with the worker process that computed it, and pool
+recycling throws it away exactly when load is highest.  This module
+persists solved verdicts on disk, shared by every worker of a pool,
+with one non-negotiable rule: **a stored entry is a claim, not a
+fact**.  Nothing read from disk is trusted until it passes its
+integrity framing and its kind-specific validator, and a failed check
+routes the entry into quarantine (tombstoned, counted, flight-dumped)
+instead of ever surfacing a wrong answer.
+
+The solver writes one record kind, ``verdict``
+(:class:`~repro.core.solver.TrauSolver`).  Everything else the solver
+memoizes stays in-process: persisted automata results, phase memos,
+flattener fragments and theory lemmas were measured on repeated traffic
+and cost more in store I/O and re-proof work than they saved, while a
+verdict hit skips the whole solve.  The framing, index and validation
+below are kind-agnostic.
 
 Layout of a store directory::
 
@@ -35,9 +42,8 @@ Integrity is layered:
 * validate-on-read re-reads the record bytes from disk on **every**
   ``get``, re-verifies the checksum, and runs the caller's validator on
   the value — SAT verdicts re-check their model against the concrete
-  evaluator, UNSAT verdicts must carry the budget-independence marker,
-  warm-start lemmas are re-proved by a bounded LIA check before they are
-  believed (those validators live at the call sites).
+  evaluator, UNSAT verdicts must carry the budget-independence marker
+  (the validator lives at the call site).
 
 Every entry point swallows its own failures: a broken store degrades to
 a miss (or a dropped write), never an exception in the solver.  The
@@ -74,10 +80,10 @@ _HEADER = struct.Struct("<4sI32s")       # magic, payload length, sha256
 MAX_RECORD = 64 * 1024 * 1024
 FORMAT_VERSION = 1
 
-SOLVER_REVISION = "pr8"
+SOLVER_REVISION = "verdict-only-1"
 """Bumped whenever a change invalidates persisted payloads (pickle
-layouts, fragment semantics, certificate formats).  A store written
-under another revision is moved aside wholesale, never reinterpreted."""
+layouts, record kinds, certificate formats).  A store written under
+another revision is moved aside wholesale, never reinterpreted."""
 
 
 # -- keys --------------------------------------------------------------------
@@ -180,9 +186,9 @@ _COUNTER_NAMES = ("hits", "misses", "writes", "write_errors", "quarantined",
 class Store:
     """One disk-backed store directory; see the module docstring.
 
-    Public entry points (:meth:`get`, :meth:`put`, :meth:`quarantine`,
-    :meth:`refresh`, :meth:`save_index`) never raise for an internal
-    failure — a broken store degrades to misses and dropped writes.
+    Public entry points (:meth:`get`, :meth:`put`, :meth:`refresh`,
+    :meth:`save_index`) never raise for an internal failure — a broken
+    store degrades to misses and dropped writes.
     """
 
     def __init__(self, root, revision=None, index_every=32):
@@ -533,17 +539,6 @@ class Store:
             if metrics.enabled:
                 metrics.add("store.write_errors")
             return False
-
-    def quarantine(self, kind, key, reason):
-        """Tombstone ``(kind, key)`` for a failure detected downstream
-        (e.g. a warm-start certificate that failed its re-proof after
-        the shape validator passed).  Never raises."""
-        try:
-            self._quarantine_entry(kind, key_digest(kind, key), reason)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            self.counters["errors"] += 1
 
     def _quarantine_entry(self, kind, digest, reason, segment=None,
                           offset=None):

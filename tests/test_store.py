@@ -1,5 +1,5 @@
 """Crash-safe persistent store: framing, validate-on-read, quarantine,
-concurrency, and the warm-start layers (DESIGN.md Section 14).
+concurrency, and the solver's verdict memo (DESIGN.md Section 14).
 
 The contract under test everywhere: a store entry is a claim, not a
 fact.  Whatever is done to the bytes on disk — torn writes, bit flips,
@@ -178,7 +178,7 @@ class TestValidateOnRead:
     def test_tombstone_survives_reopen(self, tmp_path):
         st = Store(str(tmp_path))
         st.put("k", "key", "value")
-        st.quarantine("k", "key", "test")
+        assert st.get("k", "key", validator=lambda v, m: False) is MISSING
         st.close()
         st2 = Store(str(tmp_path))
         assert st2.get("k", "key") is MISSING
@@ -186,7 +186,7 @@ class TestValidateOnRead:
     def test_put_after_quarantine_resurrects(self, tmp_path):
         st = Store(str(tmp_path))
         st.put("k", "key", "bad")
-        st.quarantine("k", "key", "test")
+        assert st.get("k", "key", validator=lambda v, m: False) is MISSING
         assert st.put("k", "key", "good")
         assert st.get("k", "key") == "good"
 
@@ -229,19 +229,23 @@ class TestOnDiskCorruption:
 
 class TestVersionSkew:
     def test_revision_skew_invalidates(self, tmp_path):
-        st = Store(str(tmp_path), revision="rev-a")
-        st.put("k", "key", "value")
-        st.close()
-        st2 = Store(str(tmp_path), revision="rev-b")
-        assert st2.get("k", "key") is MISSING
-        assert st2.counters["invalidated"] == 1
-        stale = [n for n in os.listdir(tmp_path) if n.startswith("stale-")]
-        assert len(stale) == 1
-        assert any(n.startswith("seg-")
-                   for n in os.listdir(tmp_path / stale[0]))
-        # The new generation is fully usable.
-        st2.put("k", "key", "fresh")
-        assert st2.get("k", "key") == "fresh"
+        # (written, reopened); None is this build's default revision, and
+        # "pr8" stamped the stores that also held warm-start kinds.
+        for old, new in (("rev-a", "rev-b"), ("pr8", None)):
+            root = tmp_path / old
+            st = Store(str(root), revision=old)
+            st.put("k", "key", "value")
+            st.close()
+            st2 = Store(str(root), revision=new)
+            assert st2.get("k", "key") is MISSING, (old, new)
+            assert st2.counters["invalidated"] == 1, (old, new)
+            stale = [n for n in os.listdir(root) if n.startswith("stale-")]
+            assert len(stale) == 1
+            assert any(n.startswith("seg-")
+                       for n in os.listdir(root / stale[0]))
+            # The new generation is fully usable.
+            st2.put("k", "key", "fresh")
+            assert st2.get("k", "key") == "fresh"
 
     def test_same_revision_keeps_data(self, tmp_path):
         st = Store(str(tmp_path), revision="rev-a")
@@ -433,52 +437,6 @@ class TestSolverIntegration:
         result = solver.solve(_sat_problem(), timeout=30)
         assert result.status == "sat"
         assert result.stats.get("store") != "hit"
-
-    def test_fragment_warm_start_after_verdict_tombstone(self, tmp_path):
-        root = str(tmp_path)
-        store.set_default_path(root)
-        assert _boot(root).solve(_sat_problem(), timeout=30).status == "sat"
-        st = store.get_store(root)
-        st.quarantine("verdict", _verdict_key(_sat_problem()), "test")
-        st.save_index()
-        store.reset()
-        cache.clear_all()
-        from repro.obs import Metrics
-        metrics = Metrics()
-        solver = TrauSolver(config=SolverConfig(store_path=root),
-                            metrics=metrics)
-        result = solver.solve(_sat_problem(), timeout=30)
-        assert result.status == "sat"
-        flat = metrics.flat()
-        assert flat.get("store.fragment_hits", 0) >= 1
-        assert flat.get("store.lemmas_installed", 0) >= 1
-
-
-class TestWarmLemmas:
-    def test_seed_rejects_infeasible_claims(self):
-        from repro.smt import IncrementalSmtSession
-
-        session = IncrementalSmtSession()
-        x = var("x")
-        # ge/le build interned Atom objects; x>=2 AND x<=1 is a genuine
-        # theory lemma, x>=0 AND x<=5 is a corrupt (satisfiable) claim.
-        valid = ((ge(x, 2), True), (le(x, 1), True))
-        bogus = ((ge(x, 0), True), (le(x, 5), True))
-        installed, rejected = session.seed_lemmas([valid, bogus])
-        assert installed == 1
-        assert rejected == 1
-
-    def test_lemmas_harvested_and_reproved_across_boots(self, tmp_path):
-        root = str(tmp_path)
-        assert _boot(root).solve(_sat_problem(), timeout=30).status == "sat"
-        st = store.get_store(root)
-        hit = st.get("session.lemmas",
-                     (cache.problem_fingerprint(_sat_problem()),),
-                     validator=None)
-        # The entry is keyed with the alphabet signature too; just assert
-        # some lemmas entry exists on disk at all.
-        assert any(r.get("kind") == "session.lemmas"
-                   for r in _records(root)) or hit is not MISSING
 
 
 # -- concurrency & crash safety (satellite 3) --------------------------------
@@ -690,6 +648,6 @@ class TestServiceIntegration:
         # generation (here: this process) reads them.
         st = Store(root)
         kinds = {r.get("kind") for r in _records(root)}
-        assert "verdict" in kinds
+        assert kinds == {"verdict"}
         key = _verdict_key(_sat_problem())
         assert st.get("verdict", key)["status"] == "sat"

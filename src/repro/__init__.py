@@ -16,7 +16,7 @@ Public API
 * :mod:`repro.bench` — the table-regeneration harness.
 * :mod:`repro.serve` — supervised serving: ``SolverService`` runs many
   concurrent solves on a worker pool with hard deadlines, retries,
-  quarantine, and a cross-checked portfolio mode (CLI:
+  quarantine, and a model re-check on every SAT answer (CLI:
   ``python -m repro serve-batch``).
 
 Quickstart::

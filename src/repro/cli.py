@@ -10,7 +10,7 @@ Usage::
                               [--max-automata-states N]
                               [--inject-fault SPEC]
     python -m repro selfcheck [--trace] [--allow-unknown] [budget flags]
-    python -m repro serve-batch PATH... [--pool-jobs N] [--portfolio]
+    python -m repro serve-batch PATH... [--pool-jobs N]
                                 [--timeout S] [--results-json FILE]
                                 [--metrics-out FILE] [--flight-dir DIR]
                                 [--slo S]
@@ -66,13 +66,12 @@ request still gets a well-formed answer (see
 ``serve-batch`` solves a directory (or list) of SMT-LIB files through
 the supervised :class:`~repro.serve.service.SolverService`: a pool of
 ``--pool-jobs`` isolated worker processes with hard deadlines,
-worker-death retries, poison-pill quarantine, and — with
-``--portfolio`` — a cross-checked race between the configured pipeline
-and its no-cache rung.  Every file gets exactly one answer; SIGTERM drains
+worker-death retries, poison-pill quarantine, and a concrete re-check
+of every SAT model.  Every file gets exactly one answer; SIGTERM drains
 gracefully (in-flight work finishes or is killed at its deadline,
 queued files answer ``unknown(shutdown)``) and still exits zero.
-``--request-fault 'NAME[@LABEL]=SPEC'`` arms a serve-layer fault for
-one request (optionally one portfolio arm) — the chaos-soak instrument.
+``--request-fault 'NAME=SPEC'`` arms a serve-layer fault for one
+request — the chaos-soak instrument.
 
 Telemetry: ``--metrics-out FILE`` attaches a
 :class:`~repro.obs.pipeline.TelemetryAggregator` (worker-side spans and
@@ -306,36 +305,30 @@ def _collect_smt_files(paths):
 
 
 def _parse_request_faults(values):
-    """``NAME[@LABEL]=SPEC`` options -> {name: {label-or-"": [spec,...]}}."""
+    """``NAME=SPEC`` options -> {name: [spec, ...]}."""
     table = {}
     for value in values:
-        target, sep, spec = value.partition("=")
+        name, sep, spec = value.partition("=")
         if not sep or not spec.strip():
             raise SystemExit("repro: bad --request-fault %r "
-                             "(want NAME[@LABEL]=SPEC)" % value)
-        name, _, label = target.partition("@")
-        table.setdefault(name.strip(), {}).setdefault(
-            label.strip(), []).append(spec.strip())
+                             "(want NAME=SPEC)" % value)
+        table.setdefault(name.strip(), []).append(spec.strip())
     return table
 
 
 def serve_batch(argv=None):
     """Solve a corpus of SMT-LIB files through the supervised service."""
-    from repro.serve import ServeResult, SolverService, default_portfolio
+    from repro.serve import ServeResult, SolverService
 
     parser = argparse.ArgumentParser(
         prog="repro serve-batch",
         description="solve SMT-LIB files through the supervised "
                     "SolverService (worker pool, backpressure, "
-                    "quarantine, optional portfolio)")
+                    "quarantine)")
     parser.add_argument("paths", nargs="+", metavar="PATH",
                         help="SMT-LIB files and/or directories of *.smt2")
     parser.add_argument("--pool-jobs", type=int, default=2, metavar="N",
                         help="worker processes in the pool (default 2)")
-    parser.add_argument("--portfolio", action="store_true",
-                        help="race the configured pipeline and its "
-                             "no-cache rung per request and cross-check "
-                             "the verdicts")
     parser.add_argument("--timeout", type=float, default=10.0,
                         help="per-request solver budget in seconds")
     parser.add_argument("--grace", type=float, default=2.0,
@@ -377,13 +370,12 @@ def serve_batch(argv=None):
                         metavar="SPEC",
                         help="arm a solver-level fault in every request")
     parser.add_argument("--request-fault", action="append", default=[],
-                        metavar="NAME[@LABEL]=SPEC",
-                        help="arm a serve-layer fault for one request "
-                             "(optionally one portfolio arm); repeatable")
+                        metavar="NAME=SPEC",
+                        help="arm a serve-layer fault for one request; "
+                             "repeatable")
     args = parser.parse_args(argv)
 
     config = _build_config(args)
-    portfolio = default_portfolio(config) if args.portfolio else None
     request_faults = _parse_request_faults(args.request_fault)
 
     files = _collect_smt_files(args.paths)
@@ -433,7 +425,7 @@ def serve_batch(argv=None):
             last_snapshot[0] = now
 
     service = SolverService(
-        config=config, portfolio=portfolio, jobs=args.pool_jobs,
+        config=config, jobs=args.pool_jobs,
         timeout=args.timeout, grace=args.grace,
         queue_limit=args.queue_limit, max_retries=args.max_retries,
         quarantine_threshold=args.quarantine_threshold,
@@ -453,13 +445,9 @@ def serve_batch(argv=None):
                     handles.append(ServeResult(name, "unknown",
                                                reason="shutdown"))
                     continue
-                spec_map = request_faults.get(name, {})
                 handles.append(service.submit(
                     problem, name=name,
-                    fault_specs=tuple(spec_map.get("", ())),
-                    entry_fault_specs={label: tuple(specs)
-                                       for label, specs in spec_map.items()
-                                       if label}))
+                    fault_specs=tuple(request_faults.get(name, ()))))
                 service.pump(0.0)
             while not stop["flag"] and service.open_requests:
                 service.pump(0.05)
@@ -487,7 +475,6 @@ def serve_batch(argv=None):
             # certified-SAT instance is a wrong verdict.
             incorrect += 1
             mark = "  INCORRECT(expected sat)"
-        winner = (" [%s]" % row.winner) if row.winner else ""
         # Per-request degradation story (satellite of the telemetry PR):
         # these used to be buried inside the stats blob.
         extras = []
@@ -497,8 +484,8 @@ def serve_batch(argv=None):
         if row.retries:
             extras.append("retries=%d" % row.retries)
         note = ("  [%s]" % " ".join(extras)) if extras else ""
-        print("%-24s %-22s %6.2fs%s%s%s"
-              % (row.name, row.answer, row.seconds, winner, note, mark))
+        print("%-24s %-22s %6.2fs%s%s"
+              % (row.name, row.answer, row.seconds, note, mark))
 
     answered = sum(1 for r in rows if r is not None)
     degraded = sum(1 for r in rows
@@ -727,10 +714,6 @@ def netserve(argv=None):
                         help="require X-Admin-Key on /admin endpoints")
     parser.add_argument("--grace", type=float, default=2.0,
                         help="seconds past a deadline before hard kill")
-    parser.add_argument("--portfolio", action="store_true",
-                        help="race the configured pipeline against its "
-                             "no-cache rung per request with a "
-                             "cross-check")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="periodically rewrite FILE as a Prometheus "
                              "snapshot (also served at /metrics)")
@@ -773,8 +756,8 @@ def netserve(argv=None):
     server = NetServer(
         solver_config=_build_config(args), net_config=net_config,
         grace=args.grace, store_path=getattr(args, "store", None),
-        portfolio=args.portfolio, flight_dir=args.flight_dir,
-        slo_seconds=args.slo, metrics_out=args.metrics_out)
+        flight_dir=args.flight_dir, slo_seconds=args.slo,
+        metrics_out=args.metrics_out)
 
     async def run():
         host, port = await server.start()

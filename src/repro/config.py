@@ -126,9 +126,6 @@ class SolverConfig:
     # Solver-wide memoization caches (automata operations, regex
     # compilation); repro.cache.disabled() wraps the run when False.
     use_caches: bool = True
-    # Run the logic presolve (variable elimination + interval folding)
-    # before SMT solving; the last degradation rung turns it off.
-    use_presolve: bool = True
     # Upper bound imposed on every Parikh counter so branch-and-bound
     # terminates on unbounded polyhedra (see DESIGN.md Section 5).
     parikh_counter_bound: int = 10 ** 9

@@ -22,11 +22,11 @@ Resilience (DESIGN.md Section 7): the procedure is best-effort by
 construction — it may answer UNKNOWN, never crash or lie.  ``solve``
 therefore runs a **graceful-degradation ladder**: an internal failure
 (a :class:`SolverError`, a cache inconsistency, a decoded model failing
-concrete validation) does not escape but triggers a retry on the next
-rung — default pipeline → caches disabled → minimal pipeline
-(presolve/overapproximation/analysis off).  The rung taken is
-recorded in ``stats["degraded_to"]`` and as a tracer event per failed
-rung; a validation-failing model is quarantined, never returned.
+concrete validation) does not escape but triggers one retry with the
+memoization caches disabled; a second failure gives up with an UNKNOWN.
+The rung taken is recorded in ``stats["degraded_to"]`` and as a tracer
+event per failed rung; a validation-failing model is quarantined, never
+returned.
 Resource exhaustion is *not* degraded (retrying would burn more budget):
 it returns UNKNOWN with ``stats["stopped_by"]`` naming the tripped
 budget from :class:`~repro.errors.ResourceLimit.reason`.
@@ -55,19 +55,10 @@ from repro.strings.ast import StringProblem
 from repro.strings.eval import check_model, failing_constraints
 from repro.strings.ops import ProblemBuilder
 
-DEGRADATION_LADDER = ("default", "no-cache", "minimal", "give-up")
+DEGRADATION_LADDER = ("default", "no-cache", "give-up")
 """Rung names of the degradation ladder, in the order they are tried.
 ``give-up`` is the terminal rung: every configuration failed and the
 answer is an UNKNOWN attributed to ``internal-error``."""
-
-
-def _rung_name(config):
-    """The ladder rung a configuration corresponds to."""
-    if config.use_caches:
-        return "default"
-    if config.use_presolve:
-        return "no-cache"
-    return "minimal"
 
 
 def _corrupt_interp(interp):
@@ -115,8 +106,8 @@ class TrauSolver:
         *budget* is an optional :class:`~repro.config.Budget`; when
         omitted one is built from the config's limits and *timeout*.
         The call never raises for an internal failure: the degradation
-        ladder retries on progressively simpler pipelines and the worst
-        case is an UNKNOWN with ``stats["stopped_by"]`` explaining why.
+        ladder retries once with caches off, and the worst case is an
+        UNKNOWN with ``stats["stopped_by"]`` explaining why.
         """
         if isinstance(problem, ProblemBuilder):
             problem = problem.problem
@@ -219,23 +210,14 @@ class TrauSolver:
                           meta={"budget_independent": True, "phase": phase})
 
     def _ladder(self):
-        """The (rung name, config) sequence to try, starting from the
-        configured pipeline and shedding one subsystem per rung."""
+        """The (rung name, config) sequence to try: the configured
+        pipeline, then one retry with the caches off (unless they
+        already are)."""
         base = self.config
-        candidates = [
-            base,
-            replace(base, use_caches=False),
-            replace(base, use_caches=False, use_presolve=False,
-                    use_overapproximation=False, use_static_analysis=False),
-        ]
-        rungs = []
-        seen = set()
-        for config in candidates:
-            name = _rung_name(config)
-            if name not in seen:
-                seen.add(name)
-                rungs.append((name, config))
-        return rungs
+        if not base.use_caches:
+            return [("no-cache", base)]
+        return [("default", base),
+                ("no-cache", replace(base, use_caches=False))]
 
     def _solve_ladder(self, problem, budget, tracer, metrics):
         """Try each ladder rung until one completes; never raises."""

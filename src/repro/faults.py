@@ -36,8 +36,9 @@ Three fault modes:
     Only seams whose corruption is *detectable* downstream participate
     — model-producing seams (validation catches the lie), cache
     lookups (corruption degrades to a miss, worst case a recompute), and
-    the serve-layer result envelope (the portfolio cross-check in
-    :mod:`repro.serve.service` catches the fabricated verdict).
+    the serve-layer result envelope (it turns UNSAT into SAT with an
+    empty model, which the model re-check in :mod:`repro.serve.service`
+    catches).
 
 Arming: the CLI flag ``--inject-fault SPEC`` (repeatable), the
 environment variable ``REPRO_INJECT_FAULT`` (``;``-separated specs), the
@@ -72,7 +73,9 @@ CATALOG = {
                             "the worker loop and kills the process, a "
                             "delay models a hang",
     "serve.worker.result": "pool worker result envelope — corrupt "
-                           "fabricates a wrong verdict, a raise kills the "
+                           "turns UNSAT into SAT with an empty model "
+                           "(the service's model re-check answers "
+                           "unknown(invalid-model)), a raise kills the "
                            "worker after the work is done",
     "store.read": "Store.get — persistent-store read; a raise degrades to "
                   "a miss, corrupt bit-flips the payload *after* the "

@@ -74,11 +74,9 @@ def render_top(metrics, source="", rps=None, max_phases=15):
            g("serve.open_requests"), c("serve.retries"),
            c("serve.worker_deaths"), c("serve.hard_kills")))
     lines.append(
-        "quarantined %d  disagreements %d  rejected %d  recycled %d  "
-        "spawned %d"
-        % (c("serve.quarantined"), c("serve.disagreements"),
-           c("serve.rejected"), g("serve.pool.recycled"),
-           g("serve.pool.spawned")))
+        "quarantined %d  rejected %d  recycled %d  spawned %d"
+        % (c("serve.quarantined"), c("serve.rejected"),
+           g("serve.pool.recycled"), g("serve.pool.spawned")))
     rows = phase_rows(metrics)
     if rows:
         lines.append("")

@@ -3,7 +3,7 @@
 The resilience layer *across* many concurrent solves (PR 3's ladder and
 budgets protect a single solve): per-query process isolation with hard
 deadlines, bounded-queue backpressure, poison-pill quarantine, and a
-cross-checked portfolio mode.
+model re-check on every SAT answer.
 
 * :class:`~repro.serve.pool.WorkerPool` — spawn-based supervised worker
   pool (deadlines + hard kill, crash detection, health checks, recycling
@@ -31,13 +31,11 @@ process boundary.
 from repro.serve.pool import PoolEvent, WorkerPool
 from repro.serve.router import CircuitBreaker, RouterTicket, ShardRouter
 from repro.serve.service import (
-    PortfolioEntry, ServeResult, SolverService, default_portfolio,
-    problem_fingerprint,
+    ServeResult, SolverService, problem_fingerprint,
 )
 
 __all__ = [
     "WorkerPool", "PoolEvent",
-    "SolverService", "ServeResult", "PortfolioEntry",
-    "default_portfolio", "problem_fingerprint",
+    "SolverService", "ServeResult", "problem_fingerprint",
     "ShardRouter", "CircuitBreaker", "RouterTicket",
 ]

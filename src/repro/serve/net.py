@@ -54,7 +54,7 @@ from repro import faults as _faults
 from repro.config import NetConfig, SolverConfig
 from repro.obs import TelemetryAggregator, render_prometheus, write_snapshot
 from repro.serve.router import ShardRouter
-from repro.serve.service import SolverService, default_portfolio
+from repro.serve.service import SolverService
 from repro.smtlib import load_problem
 from repro.strings import check_model
 
@@ -103,7 +103,7 @@ def result_payload(result, ticket=None):
     payload = {"name": result.name, "status": result.status,
                "reason": result.reason, "answer": result.answer,
                "seconds": round(result.seconds, 6),
-               "winner": result.winner, "retries": result.retries}
+               "retries": result.retries}
     if result.model is not None:
         payload["model"] = dict(result.model)
     for key in ("degraded_to", "stopped_by", "budget_tripped",
@@ -129,15 +129,13 @@ class NetServer:
     """
 
     def __init__(self, solver_config=None, net_config=None, grace=2.0,
-                 store_path=None, portfolio=False, aggregator=None,
-                 flight_dir=None, slo_seconds=None, metrics_out=None,
-                 metrics_interval=2.0, max_requests_per_worker=512,
-                 pump_interval=0.004):
+                 store_path=None, aggregator=None, flight_dir=None,
+                 slo_seconds=None, metrics_out=None, metrics_interval=2.0,
+                 max_requests_per_worker=512, pump_interval=0.004):
         self.config = net_config or NetConfig()
         self.solver_config = solver_config or SolverConfig()
         self.grace = float(grace)
         self.store_path = store_path
-        self.portfolio = portfolio
         self.aggregator = aggregator or TelemetryAggregator()
         self.metrics = self.aggregator.metrics
         self.flight_dir = flight_dir
@@ -170,14 +168,10 @@ class NetServer:
     def _shard_factory(self, index):
         """One shard: a full SolverService on the shared aggregator and
         persistent store.  Also the restart path after a kill."""
-        portfolio = None
-        if self.portfolio:
-            portfolio = default_portfolio(self.solver_config)
         per_shard = max(8, self.config.max_open_requests
                         // max(1, self.config.shards))
         return SolverService(
-            config=self.solver_config, portfolio=portfolio,
-            jobs=self.config.jobs_per_shard,
+            config=self.solver_config, jobs=self.config.jobs_per_shard,
             timeout=self.config.max_deadline_s, grace=self.grace,
             queue_limit=per_shard, aggregator=self.aggregator,
             flight_dir=self.flight_dir, slo_seconds=self.slo_seconds,

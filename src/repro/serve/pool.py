@@ -195,10 +195,6 @@ class WorkerPool:
     def worker_count(self):
         return len(self._workers)
 
-    def is_pending(self, ticket):
-        """True while *ticket* is queued and not yet on a worker."""
-        return any(item.ticket == ticket for item in self._pending)
-
     def is_inflight(self, ticket):
         return ticket in self._inflight
 

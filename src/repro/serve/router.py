@@ -357,8 +357,7 @@ class ShardRouter:
             shard.breaker.record_failure()
             if before != "open" and shard.breaker.state == "open":
                 self._count("breaker_trips")
-        elif result.status in ("sat", "unsat") or result.reason is None \
-                or result.reason == "disagreement":
+        elif result.status in ("sat", "unsat") or result.reason is None:
             shard.breaker.record_success()
         else:
             # Service-door answers (overloaded, poison, shutdown) and

@@ -24,15 +24,10 @@ The moving parts, on top of :class:`~repro.serve.pool.WorkerPool`:
   every open and future request for it answers ``unknown(poison)``
   without burning another worker — the circuit breaker that stops one
   pathological instance from chewing through the pool.
-* **Portfolio mode** — each request races one attempt per
-  :class:`PortfolioEntry` (e.g. the default pipeline vs. its no-cache
-  rung).  A SAT answer only wins after its model re-validates
-  concretely (``strings/eval``); because SAT carries that
-  certificate, a validated SAT finalizes immediately and cancels the
-  losers.  UNSAT carries no certificate, so it waits for the remaining
-  attempts: if a validated SAT then lands, the SAT-vs-UNSAT
-  disagreement is logged, the fingerprint quarantined, and the request
-  answered ``unknown(disagreement)`` — never a possibly-wrong verdict.
+* **One attempt per request** — each request runs the configured
+  pipeline once (worker-death retries aside).  A SAT answer is returned
+  only after its model re-validates concretely (``strings/eval``); a
+  model that fails answers ``unknown(invalid-model)``.
 * **Graceful drain** — :meth:`SolverService.shutdown` stops intake,
   answers queued (not-yet-dispatched) requests ``unknown(shutdown)``,
   lets in-flight attempts finish or die at their deadline, and always
@@ -40,7 +35,7 @@ The moving parts, on top of :class:`~repro.serve.pool.WorkerPool`:
 
 Observability: queue-depth/inflight gauges, per-request spans
 (``serve.request``), and counters for retries, quarantines, hard kills,
-worker deaths, recycles and disagreements flow into the ambient
+worker deaths, recycles and invalid models flow into the ambient
 :mod:`repro.obs` scope — or, when the service is built with an
 ``aggregator`` (a :class:`~repro.obs.pipeline.TelemetryAggregator`),
 into its central registry alongside the per-request deltas shipped back
@@ -61,31 +56,6 @@ from repro.obs.flight import FlightRecorder, request_entry
 from repro.serve.pool import PoolEvent, WorkerPool
 from repro.strings.eval import check_model
 
-_TERMINAL = ("done", "failed", "timeout", "cancelled")
-
-
-class PortfolioEntry:
-    """One configuration racing in portfolio mode."""
-
-    __slots__ = ("label", "config", "fault_specs")
-
-    def __init__(self, label, config=None, fault_specs=()):
-        self.label = label
-        self.config = config or SolverConfig()
-        self.fault_specs = tuple(fault_specs)
-
-    def __repr__(self):
-        return "PortfolioEntry(%s)" % self.label
-
-
-def default_portfolio(base):
-    """The stock race over the configured solver *base*: the pipeline as
-    configured against its no-cache rung (diverse failure modes, same
-    semantics and budgets)."""
-    from dataclasses import replace
-    return (PortfolioEntry("default", base),
-            PortfolioEntry("no-cache", replace(base, use_caches=False)))
-
 
 def problem_fingerprint(problem):
     """A stable identity for quarantine bookkeeping: the hash of the
@@ -98,24 +68,22 @@ class ServeResult:
 
     ``status`` is an SMT verdict (``sat``/``unsat``/``unknown``);
     ``reason`` qualifies service-level unknowns (``overloaded``,
-    ``poison``, ``shutdown``, ``disagreement``, ``timeout``,
-    ``worker-death``) and :attr:`answer` renders the pair the way the
+    ``poison``, ``shutdown``, ``timeout``, ``worker-death``,
+    ``invalid-model``) and :attr:`answer` renders the pair the way the
     issue tracker talks about it: ``unknown(poison)``.
     """
 
     __slots__ = ("name", "status", "reason", "model", "seconds", "stats",
-                 "winner", "fingerprint", "retries", "worker_exits")
+                 "fingerprint", "retries", "worker_exits")
 
     def __init__(self, name, status, reason=None, model=None, seconds=0.0,
-                 stats=None, winner=None, fingerprint=None, retries=0,
-                 worker_exits=()):
+                 stats=None, fingerprint=None, retries=0, worker_exits=()):
         self.name = name
         self.status = status
         self.reason = reason
         self.model = model
         self.seconds = seconds
         self.stats = stats or {}
-        self.winner = winner
         self.fingerprint = fingerprint
         self.retries = retries
         self.worker_exits = list(worker_exits)
@@ -132,15 +100,14 @@ class ServeResult:
         return ServeResult(
             self.name if name is None else name, self.status,
             reason=self.reason, model=self.model, seconds=self.seconds,
-            stats=dict(self.stats), winner=self.winner,
-            fingerprint=self.fingerprint, retries=self.retries,
-            worker_exits=list(self.worker_exits))
+            stats=dict(self.stats), fingerprint=self.fingerprint,
+            retries=self.retries, worker_exits=list(self.worker_exits))
 
     def as_dict(self):
         row = {"name": self.name, "answer": self.answer,
                "status": self.status, "reason": self.reason,
-               "seconds": self.seconds, "winner": self.winner,
-               "fingerprint": self.fingerprint, "retries": self.retries,
+               "seconds": self.seconds, "fingerprint": self.fingerprint,
+               "retries": self.retries,
                "worker_exits": list(self.worker_exits)}
         # Failure-analysis stats earn top-level columns: before this the
         # worker's degradation story survived only inside the stats blob
@@ -157,39 +124,30 @@ class ServeResult:
         return "ServeResult(%s, %s)" % (self.name, self.answer)
 
 
-class _Attempt:
-    """One portfolio arm of one request."""
-
-    __slots__ = ("entry", "ticket", "state", "result", "retries", "exits",
-                 "not_before", "specs")
-
-    def __init__(self, entry, specs):
-        self.entry = entry
-        self.specs = specs
-        self.ticket = None
-        self.state = "queued"    # queued|inflight|backoff|done|failed|
-        self.result = None       # timeout|cancelled
-        self.retries = 0
-        self.exits = []
-
-
 class _Request:
-    """Service-side bookkeeping for one submitted problem.
+    """Service-side bookkeeping for one submitted problem and its one
+    attempt on the pool.
 
     This object doubles as the public handle: callers read ``name``,
     ``done`` and ``result``.
     """
 
-    __slots__ = ("rid", "name", "problem", "fingerprint", "attempts",
-                 "result", "started", "timeout")
+    __slots__ = ("rid", "name", "problem", "fingerprint", "specs",
+                 "ticket", "state", "retries", "exits",
+                 "not_before", "result", "started", "timeout")
 
-    def __init__(self, rid, name, problem, fingerprint, attempts,
+    def __init__(self, rid, name, problem, fingerprint, specs=(),
                  timeout=None):
         self.rid = rid
         self.name = name
         self.problem = problem
         self.fingerprint = fingerprint
-        self.attempts = attempts
+        self.specs = specs
+        self.ticket = None
+        self.state = None        # "inflight" or "backoff" while open
+        self.retries = 0
+        self.exits = []
+        self.not_before = 0.0
         self.result = None
         self.started = time.monotonic()
         self.timeout = timeout
@@ -248,11 +206,9 @@ def _service_worker_init(flight_dir=None, slo_seconds=None, store_path=None):
 
 
 def flip_verdict(result):
-    """Corrupter for the ``serve.worker.result`` seam: fabricate the
-    opposite verdict, modelling a wrong-but-plausible solver bug."""
-    if result.status == "sat":
-        return SolveResult("unsat", stats=dict(result.stats,
-                                               fabricated=True))
+    """Corrupter for the ``serve.worker.result`` seam: turn an UNSAT
+    verdict into SAT with an empty model, modelling a wrong-but-plausible
+    solver bug that the service's model re-check must catch."""
     if result.status == "unsat":
         return SolveResult("sat", model={},
                            stats=dict(result.stats, fabricated=True))
@@ -262,23 +218,19 @@ def flip_verdict(result):
 class SolverService:
     """Supervised solving over a worker pool; see the module docstring.
 
-    Single-config by default; pass ``portfolio`` (a sequence of
-    :class:`PortfolioEntry`) to race variants per request.  The service
-    is driven cooperatively: :meth:`submit` then :meth:`pump` until the
-    handles are done, or use :meth:`run_batch` / :meth:`wait`.
+    The service is driven cooperatively: :meth:`submit` then
+    :meth:`pump` until the handles are done, or use :meth:`run_batch` /
+    :meth:`wait`.
     """
 
-    def __init__(self, config=None, portfolio=None, jobs=2, timeout=10.0,
-                 grace=2.0, queue_limit=64, max_retries=2,
+    def __init__(self, config=None, jobs=2, timeout=10.0, grace=2.0,
+                 queue_limit=64, max_retries=2,
                  quarantine_threshold=3, backoff_base=0.05, backoff_cap=1.0,
                  validate_models=True, max_requests_per_worker=64,
                  max_worker_rss=None, worker_fault_specs=(),
                  aggregator=None, flight_dir=None, slo_seconds=None,
                  store_path=None):
-        if portfolio:
-            self.entries = tuple(portfolio)
-        else:
-            self.entries = (PortfolioEntry("solo", config or SolverConfig()),)
+        self.config = config or SolverConfig()
         self.timeout = float(timeout)
         self.grace = float(grace)
         self.queue_limit = int(queue_limit)
@@ -290,8 +242,8 @@ class SolverService:
         self._rng = random.Random(0xC0FFEE)   # deterministic jitter
         self._draining = False
         self._requests = {}        # rid -> _Request (open only)
-        self._by_ticket = {}       # pool ticket -> (request, attempt)
-        self._backoff = []         # [(request, attempt), ...] waiting
+        self._by_ticket = {}       # pool ticket -> request
+        self._backoff = []         # requests waiting to retry
         self._strikes = {}         # fingerprint -> kill/hang count
         self._quarantined = {}     # fingerprint -> reason
         self._next_rid = 0
@@ -342,20 +294,19 @@ class SolverService:
             fingerprint = problem_fingerprint(problem)
         return self._quarantined.get(fingerprint)
 
-    def submit(self, problem, name=None, fault_specs=(),
-               entry_fault_specs=None, timeout=None, fingerprint=None):
+    def submit(self, problem, name=None, fault_specs=(), timeout=None,
+               fingerprint=None):
         """Enqueue *problem*; always returns a request handle that will
         carry exactly one :class:`ServeResult`.
 
         Overload, quarantine and drain answer immediately (the handle
         comes back already ``done``).  *fault_specs* arm serve-layer
-        fault points around every attempt of this request;
-        *entry_fault_specs* (``{label: specs}``) target one portfolio
-        arm — both are chaos-testing instruments.  *timeout* overrides
-        the service-wide solver budget for this request only — the
-        deadline-propagation hook: the network front door passes each
-        caller's remaining deadline here, the worker receives it as its
-        solve budget, and retries are capped by what is left of it.
+        fault points around every attempt of this request — a
+        chaos-testing instrument.  *timeout* overrides the service-wide
+        solver budget for this request only — the deadline-propagation
+        hook: the network front door passes each caller's remaining
+        deadline here, the worker receives it as its solve budget, and
+        retries are capped by what is left of it.
         """
         metrics = self._metrics()
         metrics.add("serve.requests")
@@ -377,38 +328,30 @@ class SolverService:
             metrics.add("serve.rejected")
             return self._instant(rid, name, fingerprint, "overloaded",
                                  "serve.overloaded_answers")
-        entry_specs = entry_fault_specs or {}
-        attempts = [
-            _Attempt(entry, tuple(entry.fault_specs) + tuple(fault_specs)
-                     + tuple(entry_specs.get(entry.label, ())))
-            for entry in self.entries
-        ]
         budget = self.timeout if timeout is None \
             else max(0.001, min(float(timeout), self.timeout))
-        request = _Request(rid, name, problem, fingerprint, attempts,
-                           timeout=budget)
+        request = _Request(rid, name, problem, fingerprint,
+                           tuple(fault_specs), timeout=budget)
         self._requests[rid] = request
-        for attempt in attempts:
-            self._launch(request, attempt)
+        self._launch(request)
         return request
 
     def _instant(self, rid, name, fingerprint, reason, counter):
         """A request answered at the door (reject/poison/shutdown)."""
         self._metrics().add(counter)
-        request = _Request(rid, name, None, fingerprint, [])
+        request = _Request(rid, name, None, fingerprint)
         self._finalize(request, "unknown", reason=reason)
         return request
 
-    def _launch(self, request, attempt):
+    def _launch(self, request):
         budget = request.timeout if request.timeout is not None \
             else self.timeout
-        payload = (request.problem, attempt.entry.config, budget,
-                   request.name, request.fingerprint)
-        attempt.ticket = self.pool.submit(
-            payload, timeout=budget + self.grace,
-            fault_specs=attempt.specs)
-        attempt.state = "inflight"
-        self._by_ticket[attempt.ticket] = (request, attempt)
+        payload = (request.problem, self.config, budget, request.name,
+                   request.fingerprint)
+        request.ticket = self.pool.submit(
+            payload, timeout=budget + self.grace, fault_specs=request.specs)
+        request.state = "inflight"
+        self._by_ticket[request.ticket] = request
 
     # -- event loop ---------------------------------------------------------
 
@@ -416,13 +359,12 @@ class SolverService:
         """Release due retries, drive the pool, process events, refresh
         gauges.  Returns the number of requests finalized this call."""
         now = time.monotonic()
-        due = [pair for pair in self._backoff if pair[1].not_before <= now]
+        due = [r for r in self._backoff if r.not_before <= now]
         if due:
-            self._backoff = [p for p in self._backoff if p not in due]
-            for request, attempt in due:
-                if request.done:
-                    continue
-                self._launch(request, attempt)
+            self._backoff = [r for r in self._backoff if r.not_before > now]
+            for request in due:
+                if not request.done:
+                    self._launch(request)
         finalized = 0
         for event in self.pool.poll(block):
             # Ingest even for tickets no request is waiting on (late
@@ -430,18 +372,15 @@ class SolverService:
             # aggregator's contract is one ingestion per shipped delta.
             if self.aggregator is not None and event.telemetry:
                 self.aggregator.ingest(event.telemetry, worker=event.worker)
-            mapped = self._by_ticket.pop(event.ticket, None)
-            if mapped is None:
-                continue
-            request, attempt = mapped
-            if request.done:
+            request = self._by_ticket.pop(event.ticket, None)
+            if request is None or request.done:
                 continue
             if event.kind == PoolEvent.RESULT:
-                self._on_result(request, attempt, event.value)
+                self._on_result(request, event.value)
             elif event.kind == PoolEvent.DIED:
-                self._on_death(request, attempt, event.exitcode)
+                self._on_death(request, event.exitcode)
             else:
-                self._on_hard_kill(request, attempt)
+                self._on_hard_kill(request)
             if request.done:
                 finalized += 1
         metrics = self._metrics()
@@ -453,23 +392,23 @@ class SolverService:
                 metrics.gauge("serve.pool.%s" % key, value)
         return finalized
 
-    def _on_result(self, request, attempt, result):
-        attempt.state = "done"
+    def _on_result(self, request, result):
         if (result.status == "sat" and self.validate_models):
             model = result.model
             if model is None or not check_model(request.problem, model):
                 self._metrics().add("serve.invalid_models")
                 current_tracer().event("serve.invalid_model",
-                                       request=request.name,
-                                       entry=attempt.entry.label)
+                                       request=request.name)
                 result = SolveResult("unknown",
                                      stats=dict(result.stats,
                                                 stopped_by="invalid-model"))
-        attempt.result = result
-        self._advance(request)
+        reason = result.stats.get("stopped_by") \
+            if result.status == "unknown" else None
+        self._finalize(request, result.status, reason=reason,
+                       model=result.model, stats=result.stats)
 
-    def _on_death(self, request, attempt, exitcode):
-        attempt.exits.append(exitcode)
+    def _on_death(self, request, exitcode):
+        request.exits.append(exitcode)
         self._metrics().add("serve.worker_deaths")
         if self._strike(request):
             return
@@ -480,37 +419,35 @@ class SolverService:
             else self.timeout
         remaining = (request.started + budget + self.grace
                      - time.monotonic())
-        if self._draining or attempt.retries >= self.max_retries \
+        if self._draining or request.retries >= self.max_retries \
                 or remaining <= 0:
-            attempt.state = "failed"
-            self._advance(request)
+            self._finalize(request, "unknown", reason="worker-death")
             return
-        attempt.retries += 1
+        request.retries += 1
         self._metrics().add("serve.retries")
         delay = min(self.backoff_cap,
-                    self.backoff_base * (2 ** (attempt.retries - 1)))
+                    self.backoff_base * (2 ** (request.retries - 1)))
         delay *= 0.5 + self._rng.random()          # jitter in [0.5, 1.5)
         delay = min(delay, remaining)
-        attempt.state = "backoff"
-        attempt.not_before = time.monotonic() + delay
-        self._backoff.append((request, attempt))
+        request.state = "backoff"
+        request.not_before = time.monotonic() + delay
+        self._backoff.append(request)
 
-    def _on_hard_kill(self, request, attempt):
-        attempt.exits.append("hard-killed")
+    def _on_hard_kill(self, request):
+        request.exits.append("hard-killed")
         self._metrics().add("serve.hard_kills")
         if self._flight is not None:
             self._flight.dump(
                 "hard-killed",
-                detail="attempt %s exceeded its %.1fs deadline"
-                % (attempt.entry.label, self.timeout + self.grace),
+                detail="request %s exceeded its %.1fs deadline"
+                % (request.name, self.timeout + self.grace),
                 entry=request_entry(
                     request.name, fingerprint=request.fingerprint,
                     verdict="hard-killed",
                     elapsed=time.monotonic() - request.started))
         if self._strike(request):
             return
-        attempt.state = "timeout"
-        self._advance(request)
+        self._finalize(request, "unknown", reason="timeout")
 
     # -- quarantine ---------------------------------------------------------
 
@@ -539,93 +476,30 @@ class SolverService:
         # burning another worker.
         for request in [r for r in self._requests.values()
                         if r.fingerprint == fingerprint]:
-            self._cancel_attempts(request)
+            self._cancel_attempt(request)
             self._finalize(request, "unknown", reason=reason)
 
-    def _cancel_attempts(self, request):
-        for attempt in request.attempts:
-            if attempt.state == "inflight":
-                self.pool.cancel(attempt.ticket)
-                self._by_ticket.pop(attempt.ticket, None)
-                attempt.state = "cancelled"
-            elif attempt.state in ("queued", "backoff"):
-                attempt.state = "cancelled"
-        self._backoff = [(r, a) for r, a in self._backoff
-                         if r is not request]
+    def _cancel_attempt(self, request):
+        """Abandon an open request's attempt: off the pool, or out of
+        the retry queue."""
+        if request.state == "inflight":
+            self.pool.cancel(request.ticket)
+            self._by_ticket.pop(request.ticket, None)
+        elif request.state == "backoff":
+            self._backoff = [r for r in self._backoff if r is not request]
 
-    # -- verdict assembly ---------------------------------------------------
-
-    def _advance(self, request):
-        """Re-derive the request's verdict from its attempt states.
-
-        A validated SAT finalizes immediately (it carries a concrete
-        witness) and cancels the losers; UNSAT has no certificate, so it
-        waits for every attempt before it is trusted; SAT-vs-UNSAT is a
-        disagreement and never yields a verdict.
-        """
-        if request.done:
-            return
-        sats = [a for a in request.attempts
-                if a.state == "done" and a.result.status == "sat"]
-        unsats = [a for a in request.attempts
-                  if a.state == "done" and a.result.status == "unsat"]
-        if sats and unsats:
-            self._disagreement(request, sats[0], unsats[0])
-            return
-        if sats:
-            winner = sats[0]
-            self._cancel_attempts(request)
-            self._finalize(request, "sat", model=winner.result.model,
-                           stats=winner.result.stats,
-                           winner=winner.entry.label)
-            return
-        if any(a.state not in _TERMINAL for a in request.attempts):
-            return
-        if unsats:
-            winner = unsats[0]
-            self._finalize(request, "unsat", stats=winner.result.stats,
-                           winner=winner.entry.label)
-            return
-        reason = None
-        stats = {}
-        if any(a.state == "timeout" for a in request.attempts):
-            reason = "timeout"
-        elif any(a.state == "failed" for a in request.attempts):
-            reason = "worker-death"
-        for attempt in request.attempts:
-            if attempt.state == "done":
-                stats = attempt.result.stats
-                reason = reason or stats.get("stopped_by")
-                break
-        self._finalize(request, "unknown", reason=reason, stats=stats)
-
-    def _disagreement(self, request, sat_attempt, unsat_attempt):
-        """A SAT-vs-UNSAT split between portfolio arms: one solver lied.
-        Log it, quarantine the fingerprint, and refuse to pick a side."""
-        metrics = self._metrics()
-        metrics.add("serve.disagreements")
-        current_tracer().event(
-            "serve.disagreement", request=request.name,
-            fingerprint=request.fingerprint,
-            sat_entry=sat_attempt.entry.label,
-            unsat_entry=unsat_attempt.entry.label)
-        self._cancel_attempts(request)
-        # _quarantine finalizes this request (and any open siblings)
-        # with the quarantine reason.
-        self._quarantine(request.fingerprint, "disagreement")
+    # -- answers ------------------------------------------------------------
 
     def _finalize(self, request, status, reason=None, model=None,
-                  stats=None, winner=None):
+                  stats=None):
         if request.done:
             return
-        retries = sum(a.retries for a in request.attempts)
-        exits = [code for a in request.attempts for code in a.exits]
         seconds = time.monotonic() - request.started
         request.result = ServeResult(
             request.name, status, reason=reason, model=model,
-            seconds=seconds, stats=dict(stats or {}), winner=winner,
-            fingerprint=request.fingerprint, retries=retries,
-            worker_exits=exits)
+            seconds=seconds, stats=dict(stats or {}),
+            fingerprint=request.fingerprint, retries=request.retries,
+            worker_exits=request.exits)
         self._requests.pop(request.rid, None)
         self.answered += 1
         if self._flight is not None:
@@ -643,7 +517,7 @@ class SolverService:
             tracer.record_span(
                 "serve.request", request.started, time.monotonic(),
                 request=request.name, status=status, reason=reason,
-                winner=winner, retries=retries)
+                retries=request.retries)
 
     # -- driving ------------------------------------------------------------
 
@@ -692,36 +566,19 @@ class SolverService:
 
     def begin_drain(self, keep_inflight=True):
         """Stop intake without blocking: requests with nothing running
-        answer ``unknown(shutdown)`` now, queued/backoff attempts are
-        cancelled, and (with *keep_inflight*) attempts already on a
-        worker keep running — keep pumping and they finish or die at
-        their deadline.  The async front door drains this way so its
-        event loop never blocks.  Idempotent.
+        answer ``unknown(shutdown)`` now, and (with *keep_inflight*)
+        attempts already on a worker keep running — keep pumping and they
+        finish or die at their deadline.  The async front door drains
+        this way so its event loop never blocks.  Idempotent.
         """
         self._draining = True
         metrics = self._metrics()
         for request in list(self._requests.values()):
-            running = any(a.state == "inflight"
-                          and self.pool.is_inflight(a.ticket)
-                          for a in request.attempts)
-            if keep_inflight and running:
-                # Give up on the arms that have not started; keep the
-                # running ones (they finish or die at their deadline).
-                for attempt in request.attempts:
-                    if attempt.state in ("queued", "backoff"):
-                        attempt.state = "cancelled"
-                    elif (attempt.state == "inflight"
-                          and self.pool.is_pending(attempt.ticket)):
-                        self.pool.cancel(attempt.ticket)
-                        self._by_ticket.pop(attempt.ticket, None)
-                        attempt.state = "cancelled"
-                self._backoff = [(r, a) for r, a in self._backoff
-                                 if r is not request]
-                self._advance(request)
-            else:
-                self._cancel_attempts(request)
-                metrics.add("serve.shutdown_answers")
-                self._finalize(request, "unknown", reason="shutdown")
+            if keep_inflight and self.pool.is_inflight(request.ticket):
+                continue
+            self._cancel_attempt(request)
+            metrics.add("serve.shutdown_answers")
+            self._finalize(request, "unknown", reason="shutdown")
 
     def shutdown(self, drain=True, poll=0.05):
         """Stop intake and reap the pool.

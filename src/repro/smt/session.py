@@ -254,13 +254,7 @@ class IncrementalSmtSession:
         metrics = current_metrics()
         self.rounds += 1
 
-        if config.use_presolve:
-            fragments, steps, all_vars = self._presolve_fragments(fragments)
-        else:
-            steps = []
-            all_vars = set()
-            for _key, formula in fragments:
-                all_vars.update(variables_of(formula))
+        fragments, steps, all_vars = self._presolve_fragments(fragments)
 
         active = []
         reused_clauses = 0

@@ -323,26 +323,23 @@ class TestChaos:
         asyncio.run(scenario())
 
 
-class TestPortfolioShards:
-    def test_portfolio_arms_keep_the_configured_budgets(self):
-        """``netserve --portfolio`` races the configured pipeline against
-        its no-cache rung; both arms keep the ``--max-*`` budgets."""
+class TestShardWiring:
+    def test_shards_keep_the_configured_budgets(self):
+        """Every shard's service solves with the configured pipeline,
+        ``--max-*`` budgets included."""
         config = SolverConfig(bb_node_limit=17, smt_iteration_limit=23,
                               automata_state_limit=4099)
         server = NetServer(
             solver_config=config,
             net_config=NetConfig(host="127.0.0.1", port=0, shards=1,
                                  jobs_per_shard=1),
-            grace=1.0, portfolio=True)
+            grace=1.0)
         with server.router as router:
-            entries = router._shards[0].service.entries
-        assert [entry.label for entry in entries] == ["default", "no-cache"]
-        assert [entry.config.use_caches for entry in entries] \
-            == [True, False]
-        for entry in entries:
-            assert (entry.config.bb_node_limit,
-                    entry.config.smt_iteration_limit,
-                    entry.config.automata_state_limit) == (17, 23, 4099)
+            shard_config = router._shards[0].service.config
+        assert shard_config.use_caches
+        assert (shard_config.bb_node_limit,
+                shard_config.smt_iteration_limit,
+                shard_config.automata_state_limit) == (17, 23, 4099)
 
 
 class TestNetserveCli:

@@ -12,8 +12,10 @@ every submitted request gets exactly one answer.
 import os
 import time
 
+from repro.core.solver import SolveResult
 from repro.logic import eq
-from repro.serve import PortfolioEntry, PoolEvent, SolverService, WorkerPool
+from repro.serve import PoolEvent, SolverService, WorkerPool
+from repro.serve.service import flip_verdict
 from repro.strings import ProblemBuilder, str_len
 
 CRASH = "serve.worker.request:raise:exc=runtime"
@@ -184,6 +186,16 @@ class TestSolverService:
         assert result.status == "unknown"
         assert result.stats.get("stopped_by") == "invalid-model"
 
+    def test_corrupter_only_fabricates_sat(self):
+        # A fabricated UNSAT carries nothing to re-check, so the seam
+        # lies only in the direction the model re-check catches.
+        sat = SolveResult("sat", model={"x": "ab"})
+        assert flip_verdict(sat) is sat
+        unknown = SolveResult("unknown")
+        assert flip_verdict(unknown) is unknown
+        lie = flip_verdict(SolveResult("unsat"))
+        assert (lie.status, lie.model) == ("sat", {})
+
     def test_drain_finishes_inflight_and_answers_queued(self):
         slow_spec = "serve.worker.request:delay:seconds=1"
         with SolverService(jobs=1, timeout=20,
@@ -197,37 +209,3 @@ class TestSolverService:
             assert slow.result.status == "sat"
             assert queued.result.answer == "unknown(shutdown)"
         assert service.pool.worker_count == 0
-
-
-class TestPortfolio:
-    ENTRIES = (PortfolioEntry("default"),
-               PortfolioEntry("no-cache"))
-
-    def test_validated_sat_wins_the_race(self):
-        with SolverService(portfolio=self.ENTRIES, jobs=2,
-                           timeout=20) as service:
-            result = service.wait(service.submit(sat_problem()))
-        assert result.status == "sat"
-        assert result.winner in ("default", "no-cache")
-
-    def test_disagreement_is_caught_and_quarantined(self):
-        # One arm lies (sat flipped to unsat), the honest arm is delayed
-        # so the lie always arrives first; UNSAT holds no certificate,
-        # so the service waits — then refuses to pick a side.
-        problem = sat_problem()
-        with SolverService(portfolio=self.ENTRIES, jobs=2,
-                           timeout=20) as service:
-            handle = service.submit(problem, entry_fault_specs={
-                "no-cache": (LIE,),
-                "default": ("serve.worker.request:delay:seconds=1",),
-            })
-            result = service.wait(handle)
-            assert result.answer == "unknown(disagreement)"
-            assert service.quarantined(problem) == "disagreement"
-
-    def test_unsat_needs_every_arm_to_agree(self):
-        with SolverService(portfolio=self.ENTRIES, jobs=2,
-                           timeout=20) as service:
-            result = service.wait(service.submit(unsat_problem()))
-        assert result.status == "unsat"
-        assert result.winner in ("default", "no-cache")

@@ -1,6 +1,7 @@
 """Tests for the benchmark generators: labels must be trustworthy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TrauSolver
 from repro.strings import check_model
@@ -67,6 +68,18 @@ class TestGeneratorContracts:
                 assert instance.expected != "unsat", instance.name
             elif result.status == "unsat":
                 assert instance.expected != "sat", instance.name
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_fuzz_labels_hold_on_random_seeds(self, seed):
+        """The default pipeline's definite answers match the fuzz
+        generator's labels, and its SAT models validate."""
+        for instance in fuzz.generate(2, seed=seed):
+            result = TrauSolver().solve(instance.problem, timeout=15)
+            if result.status == "sat":
+                assert check_model(instance.problem, result.model)
+            if instance.expected and result.status in ("sat", "unsat"):
+                assert result.status == instance.expected
 
 
 class TestSuiteShapes:

@@ -302,9 +302,8 @@ async def drive(options):
         default_deadline_s=8.0, max_deadline_s=12.0,
         tenants=tenants, admin_key=ADMIN_KEY,
         breaker_cooldown_s=1.0)
-    server = NetServer(solver_config=SolverConfig(),
-                       net_config=net_config, grace=1.0,
-                       store_path=options.store)
+    server = NetServer(solver_config=SolverConfig(store_path=options.store),
+                       net_config=net_config, grace=1.0)
     host, port = await server.start()
     serve_task = asyncio.ensure_future(server.serve_forever())
 

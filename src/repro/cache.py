@@ -5,7 +5,8 @@ constructions over and over (the same regexes compile per instance, the
 same intersections re-run per round).  This module provides the shared
 bounded-LRU caches those operations memoize through, with hit/miss
 counters wired into :mod:`repro.obs` so ``--trace`` shows exactly what
-the caches bought.
+the caches bought.  Whole-problem results are not cached in-process;
+the verdict store and the router's front-door cache answer repeats.
 
 Discipline (see DESIGN.md Section 6):
 
@@ -191,7 +192,7 @@ def problem_fingerprint(problem):
     the property the persistent store keys live and die by.
 
     Lives here — not in :mod:`repro.serve` where it originated — so the
-    solver-phase caches keyed by it do not import the serving layer.
+    solver's verdict-store key does not import the serving layer.
     """
     try:
         from repro.smtlib import problem_to_smtlib

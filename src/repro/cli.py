@@ -154,8 +154,7 @@ def _add_store_argument(parser):
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="directory of the crash-safe persistent "
                              "verdict store, shared across runs and pool "
-                             "workers (the REPRO_STORE environment variable "
-                             "is the ambient default)")
+                             "workers (default: no store)")
 
 
 def _build_config(args):
@@ -430,7 +429,7 @@ def serve_batch(argv=None):
         queue_limit=args.queue_limit, max_retries=args.max_retries,
         quarantine_threshold=args.quarantine_threshold,
         aggregator=aggregator, flight_dir=args.flight_dir,
-        slo_seconds=args.slo, store_path=args.store)
+        slo_seconds=args.slo)
     try:
         with scope(tracer, metrics):
             # Mirrors SolverService.run_batch, hand-rolled so the
@@ -598,17 +597,14 @@ def fuzz(argv=None):
     _add_store_argument(parser)
     args = parser.parse_args(argv)
 
-    if args.store:
-        # The campaign's engines build their own configs; the process
-        # default makes every one of them share the persistent store.
-        from repro import store as _repro_store
-        _repro_store.set_default_path(args.store)
     config = GenConfig(max_len=args.max_len,
                        alphabet_chars=args.alphabet,
                        max_constraints=args.max_constraints,
                        lie_rate=args.lie_rate)
-    driver = DifferentialDriver(config=config, timeout=args.timeout,
-                                metamorphic=not args.no_metamorphic)
+    driver = DifferentialDriver(
+        config=config, timeout=args.timeout,
+        metamorphic=not args.no_metamorphic,
+        solver_config=SolverConfig(store_path=args.store))
     observing = args.trace or args.metrics_out
     tracer = Tracer() if observing else None
     metrics = Metrics() if observing else None
@@ -692,9 +688,6 @@ def netserve(argv=None):
     parser.add_argument("--max-deadline", type=float, default=60.0,
                         metavar="S",
                         help="cap on client-supplied deadlines")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="disable identical-fingerprint coalescing "
-                             "and the front-door verdict cache")
     parser.add_argument("--breaker-threshold", type=int, default=3,
                         help="consecutive shard failures before its "
                              "circuit breaker opens")
@@ -747,7 +740,6 @@ def netserve(argv=None):
         max_open_requests=args.max_open_requests,
         default_deadline_s=args.default_deadline,
         max_deadline_s=args.max_deadline,
-        coalesce=not args.no_coalesce,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         restart_after_s=args.restart_after,
@@ -755,8 +747,7 @@ def netserve(argv=None):
     args.inject_fault = []     # already armed; keep them out of the config
     server = NetServer(
         solver_config=_build_config(args), net_config=net_config,
-        grace=args.grace, store_path=getattr(args, "store", None),
-        flight_dir=args.flight_dir, slo_seconds=args.slo,
+        grace=args.grace, flight_dir=args.flight_dir, slo_seconds=args.slo,
         metrics_out=args.metrics_out)
 
     async def run():

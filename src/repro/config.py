@@ -139,9 +139,8 @@ class SolverConfig:
     # Fault-injection specs armed for the duration of each solve call
     # (e.g. ("cache.lookup:raise:after=2",)); see repro.faults.
     fault_specs: tuple = ()
-    # Directory of the crash-safe persistent store (repro.store), shared
-    # across worker boots; None falls back to the process default and
-    # then $REPRO_STORE (see repro.store.active_store), unset disables.
+    # Directory of the crash-safe persistent verdict store (repro.store),
+    # shared across runs and worker boots; None disables it.
     store_path: str = None
 
     def budget(self, seconds=None):
@@ -217,10 +216,6 @@ class NetConfig:
     # is clamped into (0, max_deadline_s]; absent, the default applies.
     default_deadline_s: float = 10.0
     max_deadline_s: float = 60.0
-    # Identical-fingerprint requests in flight share one solve, and
-    # finished sat/unsat verdicts are answered from a front-door LRU.
-    coalesce: bool = True
-    cache_size: int = 1024
     # Per-shard circuit breaker: consecutive infrastructure failures
     # before the shard is routed around, and the half-open cooldown.
     breaker_threshold: int = 3

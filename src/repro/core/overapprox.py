@@ -20,7 +20,6 @@ answer transfers to the original problem; a SAT answer is inconclusive and
 hands control to the under-approximation.
 """
 
-from repro import cache as _cache
 from repro.alphabet import DEFAULT_ALPHABET
 from repro.automata.nfa import NFA
 from repro.automata.parikh import parikh_formula
@@ -271,35 +270,9 @@ def derived_affix_constraints(problem, alphabet):
     return derived
 
 
-_OUTCOME_CACHE = _cache.LRUCache("solver.overapprox", maxsize=256)
-
-
 def overapproximate(problem, alphabet=DEFAULT_ALPHABET, deadline=None,
                     config=None):
-    """Run the over-approximation; "unsat" proves the input UNSAT.
-
-    Outcomes are memoized by problem fingerprint — but only the
-    budget-independent ones.  "unsat" is a proof and transfers to every
-    re-solve of the same problem; "inconclusive" is cached only when the
-    phase ran to completion (a trivial abstraction, or a feasible one),
-    never when a deadline or iteration budget cut it short — a later call
-    with a larger budget must get the chance to do better.
-    """
-    key = None
-    if _cache.enabled():
-        key = (_cache.problem_fingerprint(problem), alphabet.signature())
-        hit = _OUTCOME_CACHE.get(key)
-        if hit is not _cache.MISSING:
-            return hit
-    outcome, conclusive = _overapproximate(problem, alphabet, deadline,
-                                           config)
-    if key is not None and conclusive:
-        _OUTCOME_CACHE.put(key, outcome)
-    return outcome
-
-
-def _overapproximate(problem, alphabet, deadline, config):
-    """The uncached phase; returns ``(outcome, budget_independent)``."""
+    """Run the over-approximation; "unsat" proves the input UNSAT."""
     deadline = deadline or Deadline.unbounded()
     tracer = current_tracer()
 
@@ -322,19 +295,15 @@ def _overapproximate(problem, alphabet, deadline, config):
                 if combined.is_empty():
                     return OverapproxOutcome(
                         "unsat",
-                        "regular constraints on %s are inconsistent" % name
-                    ), True
+                        "regular constraints on %s are inconsistent" % name)
         except ResourceLimit:
-            return OverapproxOutcome("inconclusive"), False
+            return OverapproxOutcome("inconclusive")
 
     with tracer.span("abstract"):
         formula = length_abstraction(problem, alphabet)
     if formula is TRUE:
-        return OverapproxOutcome("inconclusive"), True
+        return OverapproxOutcome("inconclusive")
     result = solve_formula(formula, deadline=deadline, config=config)
     if result.status == "unsat":
-        return OverapproxOutcome("unsat",
-                                 "length abstraction is infeasible"), True
-    # A found model proves the abstraction feasible for good; an "unknown"
-    # (deadline, iteration budget) must stay uncached.
-    return OverapproxOutcome("inconclusive"), result.status == "sat"
+        return OverapproxOutcome("unsat", "length abstraction is infeasible")
+    return OverapproxOutcome("inconclusive")

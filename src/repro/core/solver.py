@@ -155,7 +155,7 @@ class TrauSolver:
         Validate-on-read is the whole contract: a SAT entry's model (its
         certificate) is re-checked by the concrete evaluator on every
         read, and an UNSAT entry is believed only with the
-        budget-independence marker from the memo discipline — entries
+        budget-independence marker :meth:`_store_record` writes — entries
         that fail either check are quarantined by the store and the
         solve proceeds fresh.
         """
@@ -299,8 +299,7 @@ class TrauSolver:
         hints = {}
         if config.use_static_analysis:
             with tracer.span("analyze") as span:
-                hints = analyze_lengths(expanded, self.alphabet, deadline,
-                                        config)
+                hints = analyze_lengths(expanded, self.alphabet)
                 span.set(hints=len(hints))
         q0 = loop_length_hint(expanded, config.initial_loop_length)
 

@@ -18,7 +18,6 @@ PFAs so the disequality flattens to a single linear atom.
 
 from math import inf
 
-from repro import cache as _cache
 from repro import faults as _faults
 from repro.alphabet import DEFAULT_ALPHABET
 from repro.core.overapprox import length_abstraction
@@ -37,11 +36,7 @@ LENGTH_HINT_THRESHOLD = 40
 unbounded and covered by a loop-based PFA instead)."""
 
 
-_HINTS_CACHE = _cache.LRUCache("strategy.hints", maxsize=256)
-
-
-def analyze_lengths(problem, alphabet=DEFAULT_ALPHABET, deadline=None,
-                    config=None):
+def analyze_lengths(problem, alphabet=DEFAULT_ALPHABET):
     """Sound length upper bounds: string var name -> max length.
 
     The length abstraction is presolved (variable elimination turns the
@@ -51,17 +46,9 @@ def analyze_lengths(problem, alphabet=DEFAULT_ALPHABET, deadline=None,
     Restricting a variable to the straight-line PFA of its bound therefore
     loses no solutions at all.
 
-    The analysis is a pure function of (problem, alphabet) — interval
-    propagation runs to its fixpoint without consulting any budget — so
-    the hints are memoized by problem fingerprint unconditionally.
+    The analysis is a pure function of (problem, alphabet): interval
+    propagation runs to its fixpoint without consulting any budget.
     """
-    key = None
-    if _cache.enabled():
-        key = (_cache.problem_fingerprint(problem), alphabet.signature())
-        hit = _HINTS_CACHE.get(key)
-        if hit is not _cache.MISSING:
-            current_metrics().gauge("strategy.length_hints", len(hit))
-            return dict(hit)
     formula = length_abstraction(problem, alphabet)
     # Propagate over the presolved formula (definitions make charAt-style
     # length chains explicit) and over the original (whose direct bounds
@@ -82,8 +69,6 @@ def analyze_lengths(problem, alphabet=DEFAULT_ALPHABET, deadline=None,
         if hi is not inf and 0 <= hi <= LENGTH_HINT_THRESHOLD:
             hints[v.name] = int(hi)
     current_metrics().gauge("strategy.length_hints", len(hints))
-    if key is not None:
-        _HINTS_CACHE.put(key, dict(hints))
     return hints
 
 

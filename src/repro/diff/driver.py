@@ -3,7 +3,7 @@
 Every generated problem runs through two engines:
 
 * ``pfa-inc`` — :class:`~repro.core.solver.TrauSolver` with the default
-  pipeline;
+  pipeline, or the driver's *solver_config*;
 * ``enum`` — the :class:`~repro.baselines.enumerative.EnumerativeSolver`
   oracle, complete within the generator's bounded domain.
 
@@ -107,7 +107,7 @@ class DifferentialDriver:
 
     def __init__(self, config=None, timeout=5.0, oracle_timeout=None,
                  metamorphic=True, transforms_per_problem=2,
-                 validate_solver=True):
+                 validate_solver=True, solver_config=None):
         self.config = config or GenConfig()
         self.timeout = timeout
         self.oracle_timeout = oracle_timeout or timeout
@@ -115,9 +115,11 @@ class DifferentialDriver:
         self.transforms_per_problem = transforms_per_problem
         # validate=False lets the driver (not the solver's own quarantine)
         # catch invalid models, which is the point of the exercise; the
-        # default keeps production behaviour.
+        # default keeps production behaviour.  *solver_config* is the
+        # pfa-inc engine's pipeline (``repro fuzz --store`` names its
+        # persistent store there).
         self.engines = {
-            "pfa-inc": TrauSolver(config=DEFAULT_CONFIG,
+            "pfa-inc": TrauSolver(config=solver_config or DEFAULT_CONFIG,
                                   validate=validate_solver),
             "enum": EnumerativeSolver(
                 max_total_length=self.config.max_len + 2),

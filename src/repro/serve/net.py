@@ -123,19 +123,18 @@ class NetServer:
     Construction wires the whole stack: one shared
     :class:`TelemetryAggregator` receives worker deltas from every
     shard plus the door's own ``net.*`` counters (what ``/metrics``
-    serves), and every shard's workers mount the same persistent store
-    at *store_path*, so a restarted shard warm-starts from its
-    predecessors' verdicts.
+    serves), and every shard solves with *solver_config*, so when its
+    ``store_path`` names a persistent store, all shards share it and a
+    restarted shard warm-starts from its predecessors' verdicts.
     """
 
     def __init__(self, solver_config=None, net_config=None, grace=2.0,
-                 store_path=None, aggregator=None, flight_dir=None,
-                 slo_seconds=None, metrics_out=None, metrics_interval=2.0,
+                 aggregator=None, flight_dir=None, slo_seconds=None,
+                 metrics_out=None, metrics_interval=2.0,
                  max_requests_per_worker=512, pump_interval=0.004):
         self.config = net_config or NetConfig()
         self.solver_config = solver_config or SolverConfig()
         self.grace = float(grace)
-        self.store_path = store_path
         self.aggregator = aggregator or TelemetryAggregator()
         self.metrics = self.aggregator.metrics
         self.flight_dir = flight_dir
@@ -146,8 +145,6 @@ class NetServer:
         self.pump_interval = float(pump_interval)
         self.router = ShardRouter(
             self._shard_factory, shards=self.config.shards,
-            coalesce=self.config.coalesce,
-            cache_size=self.config.cache_size,
             breaker_threshold=self.config.breaker_threshold,
             breaker_cooldown=self.config.breaker_cooldown_s,
             restart_after=self.config.restart_after_s,
@@ -167,7 +164,8 @@ class NetServer:
 
     def _shard_factory(self, index):
         """One shard: a full SolverService on the shared aggregator and
-        persistent store.  Also the restart path after a kill."""
+        solver config (persistent store included).  Also the restart
+        path after a kill."""
         per_shard = max(8, self.config.max_open_requests
                         // max(1, self.config.shards))
         return SolverService(
@@ -175,7 +173,6 @@ class NetServer:
             timeout=self.config.max_deadline_s, grace=self.grace,
             queue_limit=per_shard, aggregator=self.aggregator,
             flight_dir=self.flight_dir, slo_seconds=self.slo_seconds,
-            store_path=self.store_path,
             max_requests_per_worker=self.max_requests_per_worker)
 
     # -- lifecycle -----------------------------------------------------------

@@ -14,9 +14,10 @@ module owns everything between the wire and the
   CI-style traffic (the same query from a hundred jobs) this is the
   single biggest capacity lever.
 * **Front-door verdict cache** — finished ``sat``/``unsat`` verdicts are
-  kept in a bounded LRU so repeats are answered without touching a
-  worker at all.  Only definite verdicts are cached; service-level
-  unknowns (``overloaded``, ``timeout``...) always re-solve.
+  kept in an LRU of :data:`CACHE_SIZE` entries so repeats are answered
+  without touching a worker at all.  Only definite verdicts are cached;
+  service-level unknowns (``overloaded``, ``timeout``...) always
+  re-solve.  Coalescing and this cache are always on.
 * **Circuit breakers** — each shard carries a breaker that trips after
   ``breaker_threshold`` *consecutive* infrastructure failures
   (worker deaths / hard-kill timeouts — never solver UNKNOWNs, which
@@ -45,6 +46,9 @@ from repro import faults as _faults
 from repro.serve.service import ServeResult, problem_fingerprint
 
 _INFRA_REASONS = ("timeout", "worker-death")
+
+CACHE_SIZE = 1024
+"""Entries in the front-door verdict cache (least recently used out)."""
 
 
 class CircuitBreaker:
@@ -161,12 +165,10 @@ class ShardRouter:
     aggregator's registry); the default is a silent no-op.
     """
 
-    def __init__(self, shard_factory, shards=2, coalesce=True,
-                 cache_size=1024, breaker_threshold=3, breaker_cooldown=2.0,
-                 restart_after=None, metrics=None, clock=time.monotonic):
+    def __init__(self, shard_factory, shards=2, breaker_threshold=3,
+                 breaker_cooldown=2.0, restart_after=None, metrics=None,
+                 clock=time.monotonic):
         self._factory = shard_factory
-        self.coalesce = bool(coalesce)
-        self.cache_size = int(cache_size)
         self.restart_after = restart_after
         self._clock = clock
         self._breaker_args = (breaker_threshold, breaker_cooldown)
@@ -248,7 +250,7 @@ class ShardRouter:
             self._finish(ticket, cached.copy(name=name))
             return ticket
         flight = self._flights.get(fingerprint)
-        if flight is not None and self.coalesce:
+        if flight is not None:
             ticket.coalesced = True
             ticket.shard = flight.shard.index
             flight.followers.append(ticket)
@@ -342,7 +344,7 @@ class ShardRouter:
             self._finish(ticket, cached.copy(name=ticket.name))
             return True
         flight = self._flights.get(ticket.fingerprint)
-        if flight is not None and self.coalesce:
+        if flight is not None:
             ticket.coalesced = True
             flight.followers.append(ticket)
             self._count("coalesced")
@@ -374,21 +376,19 @@ class ShardRouter:
     # -- verdict cache -------------------------------------------------------
 
     def _cache_get(self, fingerprint):
-        if self.cache_size <= 0:
-            return None
         result = self._cache.get(fingerprint)
         if result is not None:
             self._cache.move_to_end(fingerprint)
         return result
 
     def _cache_put(self, fingerprint, result):
-        if self.cache_size <= 0 or result.reason is not None:
+        if result.reason is not None:
             return
         template = result.copy()
         template.stats = dict(template.stats, served_from="router-cache")
         template.seconds = 0.0
         self._cache[fingerprint] = template
-        if len(self._cache) > self.cache_size:
+        if len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
 
     # -- chaos & lifecycle ---------------------------------------------------

@@ -47,6 +47,7 @@ quarantines.
 
 import random
 import time
+from dataclasses import replace
 
 from repro import cache as _cache
 from repro.config import SolverConfig
@@ -157,13 +158,12 @@ class _Request:
         return self.result is not None
 
 
-def _service_worker_init(flight_dir=None, slo_seconds=None, store_path=None):
+def _service_worker_init(flight_dir=None, slo_seconds=None):
     """Worker-side handler: one fresh TrauSolver per request (the
     process-wide memoization caches still persist across requests).
-
-    *store_path* installs the shared persistent store as the worker's
-    process default at boot, so every solve — and every recycled
-    successor of this worker — reads and extends the same on-disk state.
+    Each request carries its config, and with it the persistent store
+    that every worker — and every recycled successor — reads and
+    extends.
 
     When a flight directory or SLO is configured the handler also keeps
     a :class:`FlightRecorder` ring and dumps it on the worker-side
@@ -171,9 +171,6 @@ def _service_worker_init(flight_dir=None, slo_seconds=None, store_path=None):
     parent-side triggers, hard-kill and quarantine, live in the service:
     a hung worker cannot write its own black box.)
     """
-    if store_path:
-        from repro import store as _store
-        _store.set_default_path(store_path)
     recorder = None
     if flight_dir is not None or slo_seconds is not None:
         recorder = FlightRecorder(flight_dir, source="worker")
@@ -221,6 +218,10 @@ class SolverService:
     The service is driven cooperatively: :meth:`submit` then
     :meth:`pump` until the handles are done, or use :meth:`run_batch` /
     :meth:`wait`.
+
+    *store_path* is shorthand for ``config.store_path``: it is folded
+    into the config that every request ships to its worker, so all
+    workers share one persistent verdict store.
     """
 
     def __init__(self, config=None, jobs=2, timeout=10.0, grace=2.0,
@@ -231,6 +232,8 @@ class SolverService:
                  aggregator=None, flight_dir=None, slo_seconds=None,
                  store_path=None):
         self.config = config or SolverConfig()
+        if store_path:
+            self.config = replace(self.config, store_path=store_path)
         self.timeout = float(timeout)
         self.grace = float(grace)
         self.queue_limit = int(queue_limit)
@@ -262,10 +265,8 @@ class SolverService:
         if aggregator is not None:
             def sink(delta, pid):
                 aggregator.ingest(delta, worker=pid)
-        self.store_path = store_path
         self.pool = WorkerPool(_service_worker_init,
-                               init_args=(flight_dir, slo_seconds,
-                                          store_path),
+                               init_args=(flight_dir, slo_seconds),
                                jobs=jobs, grace=grace,
                                max_requests=max_requests_per_worker,
                                max_rss=max_worker_rss,

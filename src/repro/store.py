@@ -10,12 +10,12 @@ routes the entry into quarantine (tombstoned, counted, flight-dumped)
 instead of ever surfacing a wrong answer.
 
 The solver writes one record kind, ``verdict``
-(:class:`~repro.core.solver.TrauSolver`).  Everything else the solver
-memoizes stays in-process: persisted automata results, phase memos,
-flattener fragments and theory lemmas were measured on repeated traffic
-and cost more in store I/O and re-proof work than they saved, while a
-verdict hit skips the whole solve.  The framing, index and validation
-below are kind-agnostic.
+(:class:`~repro.core.solver.TrauSolver`), and finds the store only
+through ``SolverConfig.store_path``.  Automata results, phase memos,
+flattener fragments and theory lemmas were once persisted too; measured
+on repeated traffic they cost more in store I/O and re-proof work than
+they saved, while a verdict hit skips the whole solve.  The framing,
+index and validation below are kind-agnostic.
 
 Layout of a store directory::
 
@@ -89,29 +89,10 @@ another revision is moved aside wholesale, never reinterpreted."""
 # -- keys --------------------------------------------------------------------
 
 
-def canonicalize(obj):
-    """A deterministic, hash-seed-independent rendering of a cache key.
-
-    Frozensets (NFA fingerprints contain them) pickle and ``repr`` in
-    hash order, which varies across processes with ``PYTHONHASHSEED`` —
-    so sets and dicts are sorted into tuples before the key is digested.
-    """
-    if isinstance(obj, (frozenset, set)):
-        return ("set",) + tuple(sorted((canonicalize(x) for x in obj),
-                                       key=repr))
-    if isinstance(obj, dict):
-        return ("dict",) + tuple(sorted(((k, canonicalize(v))
-                                         for k, v in obj.items()), key=repr))
-    if isinstance(obj, (tuple, list)):
-        return tuple(canonicalize(x) for x in obj)
-    if isinstance(obj, (str, bytes, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
 def key_digest(kind, key):
-    """The stable index key: sha256 over the canonical (kind, key)."""
-    rendered = repr((kind, canonicalize(key))).encode("utf-8")
+    """The stable index key: sha256 over ``repr((kind, key))``.  Keys are
+    tuples of strings and numbers, whose ``repr`` is hash-seed-free."""
+    rendered = repr((kind, key)).encode("utf-8")
     return hashlib.sha256(rendered).hexdigest()
 
 
@@ -500,13 +481,12 @@ class Store:
             return None
         return payload
 
-    def put(self, kind, key, value, meta=None, replace=False):
+    def put(self, kind, key, value, meta=None):
         """Append ``(kind, key) -> value``; returns True when written.
 
-        First write wins by default (*replace=False*): deterministic
-        caches re-derive identical values, so re-appending them would
-        only grow the log.  Never raises; a failed write is dropped and
-        counted (``store.write_errors``).
+        First write wins: a live entry is never overwritten, so
+        re-recording a verdict does not grow the log.  Never raises; a
+        failed write is dropped and counted (``store.write_errors``).
         """
         metrics = current_metrics()
         try:
@@ -514,7 +494,7 @@ class Store:
                 _faults.point("store.write")
             digest = key_digest(kind, key)
             entry = self._index.get(digest)
-            if entry is not None and not entry[4] and not replace:
+            if entry is not None and not entry[4]:
                 return False
             record = {"kind": kind, "key": digest, "value": value,
                       "meta": dict(meta or {}), "seq": self._next_seq(),
@@ -591,7 +571,6 @@ class Store:
 
 
 _STORES = {}
-_DEFAULT_PATH = None
 
 
 def get_store(path, revision=None):
@@ -610,37 +589,16 @@ def get_store(path, revision=None):
     return store
 
 
-def set_default_path(path):
-    """Install the process default store path (worker boot, CLI flags);
-    returns the previous default."""
-    global _DEFAULT_PATH
-    previous = _DEFAULT_PATH
-    _DEFAULT_PATH = path
-    return previous
+def active_store(config):
+    """The store at ``config.store_path`` for the current solve, or None.
 
-
-def default_path():
-    """The ambient store path: module default, else ``$REPRO_STORE``."""
-    return _DEFAULT_PATH or os.environ.get("REPRO_STORE") or None
-
-
-def active_store(config=None):
-    """The store the current solve should use, or None.
-
-    Resolution: ``config.store_path`` -> the process default (set at
-    worker boot or by ``--store``) -> the ``REPRO_STORE`` environment
-    variable.  Returns None whenever caching is disabled — the
-    ``--no-cache`` contract covers persistence too.
+    None when the config names no store, and whenever caching is
+    disabled — the ``--no-cache`` contract covers persistence too.
     """
-    if not _cache.enabled():
+    if not _cache.enabled() or not config.use_caches \
+            or not config.store_path:
         return None
-    if config is not None and not getattr(config, "use_caches", True):
-        return None
-    path = getattr(config, "store_path", None) if config is not None else None
-    path = path or default_path()
-    if not path:
-        return None
-    return get_store(path)
+    return get_store(config.store_path)
 
 
 def reset():

@@ -126,17 +126,15 @@ class RegularConstraint(Constraint):
         Used by the unrolled (BMC-style) membership flattening, which
         needs a deterministic transition function.  Cached across
         refinement rounds; ``False`` is stored internally for "too big".
+        A failure inside ``minimize`` propagates and caches nothing.
         """
         if self._dfa is None:
             base = self.compact_nfa()
             result = False
             if 0 < base.num_states <= max_states:
-                try:
-                    candidate = base.minimize(sorted(base.alphabet()))
-                    if candidate.num_states <= max_states:
-                        result = candidate
-                except Exception:
-                    result = False
+                candidate = base.minimize(sorted(base.alphabet()))
+                if candidate.num_states <= max_states:
+                    result = candidate
             self._dfa = result
         return self._dfa if self._dfa is not False else None
 

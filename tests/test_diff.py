@@ -320,6 +320,29 @@ class TestDriver:
                              config=GenConfig(max_constraints=3))
         assert again.statuses == report.statuses
 
+    def test_solver_config_reaches_the_pfa_engine(self, tmp_path):
+        """``repro fuzz --store`` names its verdict store through
+        *solver_config*: a rerun of the campaign reads what the first
+        run wrote."""
+        from repro import store
+        from repro.config import SolverConfig
+
+        root = str(tmp_path)
+        config = GenConfig(max_constraints=3)
+        driver = DifferentialDriver(
+            config=config, timeout=2.0, metamorphic=False,
+            solver_config=SolverConfig(store_path=root))
+        try:
+            for _ in range(2):
+                store.reset()            # each run opens the store afresh
+                report = run_campaign(seed=1, n=4, driver=driver,
+                                      config=config)
+                assert report.ok
+            hits = store.get_store(root).counters["hits"]
+        finally:
+            store.reset()
+        assert hits > 0
+
     def test_detects_planted_unsound_engine(self):
         from repro.core.solver import SolveResult
 

@@ -27,6 +27,8 @@ from repro.logic.terms import var
 from repro.strings import ProblemBuilder, check_model, str_len
 
 ALL_POINTS = sorted(faults.CATALOG)
+SOLVER_POINTS = [point for point in ALL_POINTS
+                 if point.split(".")[0] not in ("serve", "store", "net")]
 
 
 def sat_problem():
@@ -68,9 +70,9 @@ def solve_with_fault(problem, spec, timeout=20, **config_kwargs):
     """
     fault = faults.parse_spec(spec)
     config = SolverConfig(fault_specs=(fault,), **config_kwargs)
-    # The chaos suite exercises specific seams; the cross-solve outcome
-    # memos (overapprox verdicts, length hints) would let a warm entry
-    # from an earlier test skip the very phase a fault targets.
+    # The chaos suite exercises specific seams; a warm automata LRU
+    # would let an earlier test's entry skip the very construction a
+    # fault targets (a cached product never reaches automata.intersect).
     cache.clear_all()
     result = TrauSolver(config=config).solve(problem, timeout=timeout)
     return result, fault
@@ -119,11 +121,13 @@ class TestChaosTriple:
             assert result.status == "unsat"
             assert result.stats.get("degraded_to") == "no-cache"
 
-        # Two-membership SAT leg: the one that reaches automata.intersect.
+        # Two-membership SAT leg: the one that reaches automata.intersect
+        # (the over-approximation's product) and automata.determinize
+        # (the unrolled membership encoding's DFA).
         problem = two_membership_problem()
         result, fault = solve_with_fault(problem, spec)
         assert_contract(problem, result, "sat")
-        if point == "automata.intersect":
+        if point in ("automata.intersect", "automata.determinize"):
             assert fault.fired
             if transient:
                 assert result.status == "sat"
@@ -140,16 +144,30 @@ class TestChaosTriple:
                                          smt_iteration_limit=1)
         assert_contract(problem, result, "sat")
 
+    def test_every_solver_point_fires_on_some_leg(self):
+        """The legs are not vacuous: every catalogued point outside the
+        serve, store and net layers fires on at least one of them."""
+        legs = (sat_problem, unsat_problem, two_membership_problem)
+        unfired = [
+            point for point in SOLVER_POINTS
+            if not any(solve_with_fault(leg(), point + ":raise:times=1")[1]
+                       .fired for leg in legs)]
+        assert SOLVER_POINTS and not unfired
+
     @pytest.mark.parametrize("point", ["lia.pivot", "cache.lookup",
                                        "smt.session.solve"])
     def test_runtime_crash_is_absorbed(self, point):
-        """A bare RuntimeError (not a SolverError) rides the same ladder."""
-        problem = sat_problem()
+        """A bare RuntimeError (not a SolverError) rides the same ladder.
+        The toNum instance reaches no LRU, so cache.lookup runs on the
+        two-membership instance."""
+        make = two_membership_problem if point == "cache.lookup" \
+            else sat_problem
+        problem = make()
         result, fault = solve_with_fault(
             problem, point + ":raise:exc=runtime,times=1")
         assert_contract(problem, result, "sat")
-        if fault.fired:
-            assert result.status == "sat"
+        assert fault.fired
+        assert result.status == "sat"
 
     @pytest.mark.parametrize("point", ["sat.solve", "flatten.fragment"])
     def test_delay_fault_is_harmless_without_deadline(self, point):

@@ -77,12 +77,12 @@ class Wire:
             self.writer.close()
 
 
-def boot(**kwargs):
+def boot(store_path=None, **kwargs):
     """A NetServer with test-sized defaults (tiny pools, port 0)."""
     net_kwargs = dict(host="127.0.0.1", port=0, shards=1, jobs_per_shard=1,
                       max_deadline_s=30.0)
     net_kwargs.update(kwargs.pop("net", {}))
-    return NetServer(solver_config=SolverConfig(),
+    return NetServer(solver_config=SolverConfig(store_path=store_path),
                      net_config=NetConfig(**net_kwargs), grace=1.0,
                      **kwargs)
 

@@ -150,8 +150,9 @@ class TestRouting:
         shard_of(router, services, first).finish(status="sat")
         router.pump()
         assert first.result.status == "sat"
-        # The cache would hide the second route; disable it per router.
-        router2, services2 = make_router(shards=3, cache_size=0)
+        # The first router's cache would answer a repeat without a
+        # route; a fresh router shows the routing.
+        router2, services2 = make_router(shards=3)
         a = router2.submit(problem)
         b = router2.submit(sat_problem("cd"))
         c = router2.submit(problem)          # coalesces onto a's flight
@@ -209,8 +210,7 @@ class TestBreakersAndFailover:
         clock = FakeClock()
         router, services = make_router(shards=2, clock=clock,
                                        breaker_threshold=2,
-                                       breaker_cooldown=10.0,
-                                       cache_size=0)
+                                       breaker_cooldown=10.0)
         problem = sat_problem()
         home = router.submit(problem).shard
         for _ in range(2):
@@ -236,7 +236,7 @@ class TestBreakersAndFailover:
         assert router.counters["unavailable"] == 1
 
     def test_kill_shard_reroutes_inflight_to_survivor(self):
-        router, services = make_router(shards=2, cache_size=0)
+        router, services = make_router(shards=2)
         problem = sat_problem()
         ticket = router.submit(problem, timeout=30.0)
         victim = ticket.shard
@@ -254,8 +254,7 @@ class TestBreakersAndFailover:
 
     def test_kill_shard_with_spent_deadline_answers_shutdown(self):
         clock = FakeClock()
-        router, services = make_router(shards=2, clock=clock,
-                                       cache_size=0)
+        router, services = make_router(shards=2, clock=clock)
         ticket = router.submit(sat_problem(), timeout=5.0)
         clock.advance(6.0)                   # the caller is gone
         router.kill_shard(ticket.shard)
@@ -296,7 +295,7 @@ class TestLifecycle:
         assert services[0].draining
 
     def test_shutdown_answers_every_outstanding_ticket(self):
-        router, services = make_router(shards=2, cache_size=0)
+        router, services = make_router(shards=2)
         tickets = [router.submit(sat_problem(c), name="t%s" % c)
                    for c in ("ab", "cd", "ef")]
         router.shutdown(drain=False)

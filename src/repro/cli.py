@@ -527,8 +527,9 @@ def serve_batch(argv=None):
 
 
 def _selfcheck_problems():
-    """Built-in queries covering both phases and both final statuses."""
-    from repro.logic import eq, ge
+    """Built-in queries covering both phases and both final statuses, and
+    (the paper's Φ) the lazy loop's connectivity lemmas."""
+    from repro.logic import eq, ge, gt
     from repro.strings import ProblemBuilder, str_len
     from repro.logic.terms import var
 
@@ -548,9 +549,19 @@ def _selfcheck_problems():
     sat_eq.equal(("0", u), (u, "0"))
     sat_eq.require_int(eq(str_len(u), 3))
 
+    phi = ProblemBuilder()
+    px, py = phi.str_var("x"), phi.str_var("y")
+    phi.equal(("0", px), (px, "0"))
+    nx, ny = phi.to_num(px), phi.to_num(py)
+    phi.require_int(eq(var(nx), var(ny)))
+    phi.require_int(gt(str_len(py), str_len(px)))
+    phi.require_int(gt(str_len(px), 1))
+    phi.require_int(gt(str_len(py), 1000))
+
     return [("tonum-padded", sat_conv.problem, "sat"),
             ("regex-length", unsat_re.problem, "unsat"),
-            ("periodic-eq", sat_eq.problem, "sat")]
+            ("periodic-eq", sat_eq.problem, "sat"),
+            ("paper-phi", phi.problem, "sat")]
 
 
 def fuzz(argv=None):

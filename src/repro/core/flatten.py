@@ -95,11 +95,12 @@ class Flattener:
         # Resource budget threaded into the automata products (the
         # asynchronous product can blow up quadratically).
         self.deadline = deadline
-        # Cross-round memo: fragment key -> (deps, formula), where *deps*
-        # are the PFA objects the fragment was flattened from.  PFAs are
-        # compared by identity — the strategy hands the same object back
-        # when a variable's (m, p, q) step did not change — so a hit means
-        # the formula (and its variable names) is reusable verbatim.
+        # Cross-round memo: fragment key -> (deps, (formula, checks)),
+        # where *deps* are the PFA objects the fragment was flattened from.
+        # PFAs are compared by identity — the strategy hands the same
+        # object back when a variable's (m, p, q) step did not change — so
+        # a hit means the formula (and its variable names) is reusable
+        # verbatim.
         self.fragment_cache = fragment_cache
 
     def pfa_of(self, string_var):
@@ -113,13 +114,15 @@ class Flattener:
     def fragments(self):
         """The flattening as keyed fragments for incremental solving.
 
-        Returns an ordered list of ``(key, formula)`` pairs — one fragment
-        per restricted variable (its PFA structure) and one per constraint;
-        ``flatten_R(problem)`` is their conjunction.  With a
+        Returns an ordered list of ``(key, formula, checks)`` triples — one
+        fragment per restricted variable (its PFA structure) and one per
+        constraint; ``flatten_R(problem)`` is the conjunction of the
+        formulas, restricted to the models that pass every fragment's
+        connectivity checks (:func:`flatten_constraint`).  With a
         ``fragment_cache``, a fragment whose source PFAs are the identical
-        objects as last round is returned verbatim, fresh-name counters
-        untouched, so the incremental SMT session recognizes it by
-        identity.
+        objects as last round is returned verbatim, checks included and
+        fresh-name counters untouched, so the incremental SMT session
+        recognizes it by identity.
         """
         metrics = current_metrics()
         if metrics.enabled:
@@ -137,13 +140,13 @@ class Flattener:
             if cache is not None:
                 hit = cache.get(key)
                 if hit is not None and hit[0] is pfa:
-                    frags.append((key, hit[1]))
+                    frags.append((key,) + hit[1])
                     reused += 1
                     continue
-            formula = self._var_fragment(name, pfa)
+            flat = (self._var_fragment(name, pfa), ())
             if cache is not None:
-                cache[key] = (pfa, formula)
-            frags.append((key, formula))
+                cache[key] = (pfa, flat)
+            frags.append((key,) + flat)
         count = 0
         for i, constraint in enumerate(self.problem):
             count += 1
@@ -155,13 +158,13 @@ class Flattener:
                 hit = cache.get(key)
                 if hit is not None and len(hit[0]) == len(deps) \
                         and all(a is b for a, b in zip(hit[0], deps)):
-                    frags.append((key, hit[1]))
+                    frags.append((key,) + hit[1])
                     reused += 1
                     continue
-            formula = self.flatten_constraint(constraint)
+            flat = self.flatten_constraint(constraint)
             if cache is not None:
-                cache[key] = (deps, formula)
-            frags.append((key, formula))
+                cache[key] = (deps, flat)
+            frags.append((key,) + flat)
         if metrics.enabled:
             metrics.add("flatten.constraints", count)
             if cache is not None:
@@ -249,21 +252,32 @@ class Flattener:
     # -- dispatch ------------------------------------------------------------------
 
     def flatten_constraint(self, constraint):
+        """``(formula, checks)`` for one constraint: its linear formula and
+        the connectivity obligations of the cyclic automata products it
+        synchronized.  A disjunction carries the checks of every branch;
+        the flow variables of a branch occur nowhere else, so an untaken
+        branch passes its checks with those flows at zero."""
         if isinstance(constraint, WordEquation):
             return self._flatten_equation(constraint)
         if isinstance(constraint, RegularConstraint):
             return self._flatten_regular(constraint)
-        if isinstance(constraint, IntConstraint):
-            return constraint.formula
-        if isinstance(constraint, ToNum):
-            return self._flatten_tonum(constraint)
-        if isinstance(constraint, CharCode):
-            return self._flatten_charcode(constraint)
         if isinstance(constraint, Disjunction):
-            return disj(*[conj(*[self.flatten_constraint(c) for c in branch])
-                          for branch in constraint.branches])
+            branches = []
+            checks = ()
+            for branch in constraint.branches:
+                flat = [self.flatten_constraint(c) for c in branch]
+                branches.append(conj(*[formula for formula, _ in flat]))
+                for _, more in flat:
+                    checks += more
+            return disj(*branches), checks
+        if isinstance(constraint, IntConstraint):
+            return constraint.formula, ()
+        if isinstance(constraint, ToNum):
+            return self._flatten_tonum(constraint), ()
+        if isinstance(constraint, CharCode):
+            return self._flatten_charcode(constraint), ()
         if isinstance(constraint, CharNeq):
-            return self._flatten_charneq(constraint)
+            return self._flatten_charneq(constraint), ()
         raise UnsupportedConstraint("cannot flatten %r" % (constraint,))
 
     # -- word equations (Section 7.2) --------------------------------------------------
@@ -287,19 +301,19 @@ class Flattener:
     def _flatten_equation(self, constraint):
         if self._positional_applicable(constraint.lhs) \
                 and self._positional_applicable(constraint.rhs):
-            return self._flatten_equation_positional(constraint)
+            return self._flatten_equation_positional(constraint), ()
         left = self._side_pfa(constraint.lhs)
         right = self._side_pfa(constraint.rhs)
         prefix = self.names.fresh("eq.")
-        formula = synchronization_formula(left, right, prefix,
-                                          self.counter_bound,
-                                          deadline=self.deadline)
+        formula, checks = synchronization_formula(left, right, prefix,
+                                                  self.counter_bound,
+                                                  deadline=self.deadline)
         # Concatenation introduced fresh epsilon and literal variables whose
         # interpretation constraints are local to this equation.
         extras = [left.psi, right.psi]
         extras.extend(self._local_structure(left, constraint.lhs))
         extras.extend(self._local_structure(right, constraint.rhs))
-        return conj(formula, *extras)
+        return conj(formula, *extras), checks
 
     def _local_structure(self, side_pfa, term):
         """Parikh structure for side-local variables (literal and epsilon
@@ -403,7 +417,7 @@ class Flattener:
         if target.is_straight:
             dfa = constraint.dfa()
             if dfa is not None:
-                return self._membership_unrolled(target, dfa)
+                return self._membership_unrolled(target, dfa), ()
         throwaway = self._pa_of_nfa(constraint.compact_nfa())
         prefix = self.names.fresh("re.")
         return synchronization_formula(target, throwaway, prefix,

@@ -135,8 +135,11 @@ def _regular_length_formula(name, nfa, prefix):
         symbols = sorted(trimmed.alphabet())
         count_names = {sym: "%s.c%d" % (prefix, i)
                        for i, sym in enumerate(symbols)}
-        phi = parikh_formula(trimmed, lambda sym: count_names[sym],
-                             prefix + ".f")
+        # The connectivity checks are dropped: without them the formula
+        # also admits floating cycles, a weaker relaxation, and only this
+        # abstraction's UNSAT answer is ever used, which stays sound.
+        phi, _ = parikh_formula(trimmed, lambda sym: count_names[sym],
+                                prefix + ".f")
         total = const(0)
         for sym in symbols:
             total = total + int_var(count_names[sym])

@@ -167,12 +167,15 @@ def asynchronous_product(pa_left, pa_right, deadline=None):
 
 def synchronization_formula(pa_left, pa_right, prefix, counter_bound=None,
                             deadline=None):
-    """``Psi_{P x P'}`` (Lemma 7.1) over pair-count and character variables.
+    """``Psi_{P x P'}`` (Lemma 7.1) over pair-count and character variables;
+    returns ``(formula, checks)``.
 
     *prefix* namespaces the pair-count and flow variables.  The
     interpretation constraints (psi) of PAs with ``track_counts`` are *not*
     conjoined here — the flattening adds them once globally; throwaway PAs
-    (``track_counts=False``) contribute theirs locally.
+    (``track_counts=False``) contribute theirs locally.  *checks* are the
+    product's connectivity obligations (:func:`parikh_formula`): a model
+    of the formula denotes a common word only when it passes them.
     """
     product = asynchronous_product(pa_left, pa_right, deadline)
     metrics = current_metrics()
@@ -180,13 +183,13 @@ def synchronization_formula(pa_left, pa_right, prefix, counter_bound=None,
         metrics.observe("sync.product_states", product.num_states)
         metrics.observe("sync.product_pairs", len(product.transitions))
     if product.num_states == 0 or not product.finals:
-        return FALSE
+        return FALSE, ()
 
     symbols = sorted(product.alphabet(), key=_pair_key)
     pair_name = {sym: "%s.p%d" % (prefix, i) for i, sym in enumerate(symbols)}
 
-    phi = parikh_formula(product, lambda sym: pair_name[sym],
-                         prefix + ".f", counter_bound)
+    phi, checks = parikh_formula(product, lambda sym: pair_name[sym],
+                                 prefix + ".f", counter_bound)
 
     parts = [phi]
 
@@ -230,7 +233,7 @@ def synchronization_formula(pa_left, pa_right, prefix, counter_bound=None,
         if not pa.track_counts and pa.psi is not TRUE:
             parts.append(pa.psi)
 
-    return conj(*parts)
+    return conj(*parts), checks
 
 
 def _pair_key(sym):

@@ -346,6 +346,7 @@ class ShardRouter:
         flight = self._flights.get(ticket.fingerprint)
         if flight is not None:
             ticket.coalesced = True
+            ticket.shard = flight.shard.index
             flight.followers.append(ticket)
             self._count("coalesced")
             return True

@@ -13,13 +13,35 @@ pipeline is
 4. lazy loop — the CDCL core enumerates propositional models; the atoms
    the model commits to (skipping don't-care polarities that never occur
    in the CNF) are checked by branch-and-bound inside a push/pop frame; a
-   theory conflict adds its (negated) core as a blocking clause.
+   theory conflict adds its (negated) core as a blocking clause;
+5. connectivity check — a fragment may carry *checks*, the connectivity
+   obligations of the cyclic automata its formula encodes the Parikh
+   image of (:mod:`repro.automata.parikh`).  When branch-and-bound
+   accepts a model, the checks of the active fragments run on it; a
+   violated check yields lemmas, which are added as clauses before the
+   loop goes round again (counting against the iteration budget like any
+   other iteration).  The model is returned only when no check objects.
 
 Soundness: a returned model satisfies every asserted atom with the
 polarity the SAT model chose, hence satisfies the formula (the skeleton
-is monotone in the unasserted don't-care atoms).  Completeness relative
-to the budgets: every propositional model is either accepted or excluded
-by a clause that only rules out theory-inconsistent assignments.
+is monotone in the unasserted don't-care atoms), and it passes every
+check.  Completeness relative to the budgets: every propositional model
+is either accepted or excluded by a clause that only rules out
+theory-inconsistent assignments or flows that no word has.
+
+A lemma speaks about the raw flow variables, but presolve may have
+eliminated them, so each lemma atom is first rewritten through its own
+fragment's substitutions (otherwise the integer solver would never see
+it, and the loop would accept the same model again).  A rewritten atom
+can mention variables other fragments share, so the lemma holds only
+together with its fragment: its clause is guarded by the fragment's
+activation literal, ``(not g) or (not y_c >= 1) or (y_t >= 1) ...``,
+which makes the lemmas of a retired fragment vacuous.  A fragment that
+presolve folds to ``TRUE`` is still installed under a guard when it has
+checks; a lemma whose atoms all fold to constants then refutes the
+fragment through its guard alone.  Lemma atoms occur in no fragment's
+formula, so they are noted as occurring and asserted in the theory check
+while their fragment is active.
 
 :func:`solve_formula` is a session with one round.  The CEGAR loop of
 :class:`~repro.core.solver.TrauSolver` instead feeds one session a
@@ -63,7 +85,9 @@ from repro.config import Deadline, DEFAULT_CONFIG
 from repro.errors import SolverError
 from repro.lia.branch_bound import IntegerSolver
 from repro.logic.cnf import AtomRegistry, encode_into
-from repro.logic.formula import BoolConst, atoms_of, nnf, variables_of
+from repro.logic.formula import (
+    FALSE, BoolConst, atoms_of, le, nnf, variables_of,
+)
 from repro.logic.presolve import collect_bounds, presolve, reconstruct_model
 from repro.obs import current_metrics, current_tracer
 from repro.sat import SAT, UNSAT, SatSolver
@@ -95,17 +119,30 @@ def corrupt_result(result):
     return result
 
 
-def solve_formula(formula, deadline=None, config=None):
-    """Decide satisfiability of a linear-atom formula over the integers
-    (a one-round :class:`IncrementalSmtSession`)."""
-    return IncrementalSmtSession(config).solve([("formula", formula)],
-                                               deadline)
+def solve_formula(formula, deadline=None, config=None, checks=()):
+    """Decide satisfiability of a linear-atom formula over the integers,
+    restricted to the models that pass *checks* (a one-round
+    :class:`IncrementalSmtSession`)."""
+    return IncrementalSmtSession(config).solve(
+        [("formula", formula, tuple(checks))], deadline)
 
 
 class _Fragment:
     """One keyed piece of a round formula, as encoded in the session."""
 
-    __slots__ = ("formula", "guard", "clause_count", "atom_vars")
+    __slots__ = ("formula", "guard", "clause_count", "atom_vars", "checks",
+                 "steps")
+
+
+def _rewrite(atom, steps):
+    """*atom* over the variables presolve kept: apply the fragment's
+    elimination *steps* in order.  Returns an atom, ``TRUE`` or
+    ``FALSE``."""
+    expr = atom.expr
+    for name, definition in steps:
+        if name in expr.coeffs:
+            expr = expr.substitute({name: definition})
+    return le(expr, 0)
 
 
 class IncrementalSmtSession:
@@ -129,7 +166,9 @@ class IncrementalSmtSession:
     # -- per-fragment presolve ----------------------------------------------
 
     def _presolve_fragments(self, fragments):
-        """Locally presolve each fragment; returns (reduced, steps, vars).
+        """Locally presolve each fragment; returns (reduced, steps, vars),
+        *reduced* holding ``(key, formula, checks, steps)`` per fragment
+        and *steps* every fragment's eliminations in order.
 
         Elimination is restricted to variables occurring in exactly one
         fragment, so the conjunction of the reduced fragments stays
@@ -150,7 +189,7 @@ class IncrementalSmtSession:
         entries = []
         occurrences = {}
         global_env = {}
-        for key, formula in fragments:
+        for key, formula, checks in fragments:
             cached = self._presolve_cache.get(key)
             if cached is not None and cached[0] is not formula:
                 cached = None
@@ -159,7 +198,8 @@ class IncrementalSmtSession:
             else:
                 raw_vars = frozenset(variables_of(formula))
                 own_bounds = collect_bounds(formula)
-            entries.append((key, formula, raw_vars, own_bounds, cached))
+            entries.append((key, formula, checks, raw_vars, own_bounds,
+                            cached))
             for v in raw_vars:
                 occurrences[v] = occurrences.get(v, 0) + 1
             for v, (lo, hi) in own_bounds.items():
@@ -168,14 +208,14 @@ class IncrementalSmtSession:
         reduced_fragments = []
         steps = []
         all_vars = set()
-        for key, formula, raw_vars, own_bounds, cached in entries:
+        for key, formula, checks, raw_vars, own_bounds, cached in entries:
             all_vars.update(raw_vars)
             shared = {v for v in raw_vars if occurrences[v] > 1}
             ambient = {v: global_env[v] for v in raw_vars
                        if v in global_env}
             if cached is not None and not (cached[5] & shared) \
                     and cached[6] == ambient:
-                reduced_fragments.append((key, cached[3]))
+                reduced_fragments.append((key, cached[3], checks, cached[4]))
                 steps.extend(cached[4])
                 continue
             reduced, frag_steps = presolve(formula,
@@ -184,17 +224,23 @@ class IncrementalSmtSession:
             self._presolve_cache[key] = (
                 formula, raw_vars, own_bounds, reduced, frag_steps,
                 frozenset(v for v, _ in frag_steps), ambient)
-            reduced_fragments.append((key, reduced))
+            reduced_fragments.append((key, reduced, checks, frag_steps))
             steps.extend(frag_steps)
         return reduced_fragments, steps, all_vars
 
     # -- fragment management ------------------------------------------------
 
-    def _install(self, key, formula):
-        """Encode *formula* under *key*; returns (fragment, reused)."""
+    def _install(self, key, formula, checks, steps):
+        """Encode *formula* under *key*; returns (fragment, reused).
+
+        A fragment with checks is reused only with the identical checks
+        and presolve steps: its lemmas were rewritten through those steps.
+        """
         old = self._fragments.get(key)
         if old is not None and (old.formula is formula
-                                or old.formula == formula):
+                                or old.formula == formula) \
+                and (not (checks or old.checks)
+                     or (old.checks is checks and old.steps is steps)):
             return old, True
         if old is not None:
             # Retire the stale version for good: its guard goes false at
@@ -213,20 +259,51 @@ class IncrementalSmtSession:
                 self._globally_unsat = True
         frag.guard = guard
         frag.clause_count = len(clauses)
-        frag.atom_vars = frozenset(
-            abs(self.registry.literal(a)) for a in atoms_of(formula))
+        # The fragment's theory variables; its lemma atoms join them.
+        frag.atom_vars = {abs(self.registry.literal(a))
+                          for a in atoms_of(formula)}
+        frag.checks = checks
+        frag.steps = steps
         self._fragments[key] = frag
         return frag, False
+
+    def _add_lemmas(self, frag, model):
+        """Run *frag*'s checks on *model* and add every lemma they return
+        as a clause guarded by the fragment's activation literal, each atom
+        rewritten through the fragment's presolve steps.  Returns the
+        number of lemmas added."""
+        registry = self.registry
+        added = 0
+        for check in frag.checks:
+            for lemma in check.check(model):
+                clause = [-frag.guard]
+                for atom in lemma:
+                    atom = _rewrite(atom, frag.steps)
+                    if atom is FALSE:
+                        continue
+                    if isinstance(atom, BoolConst):
+                        raise SolverError(
+                            "connectivity lemma holds in the model it "
+                            "was derived from")
+                    lit = registry.literal(atom)
+                    registry.note_occurrence(lit)
+                    frag.atom_vars.add(abs(lit))
+                    clause.append(lit)
+                if not self.sat.add_clause(clause):
+                    self._globally_unsat = True
+                added += 1
+        return added
 
     # -- solving ------------------------------------------------------------
 
     def solve(self, fragments, deadline=None):
         """Decide the conjunction of keyed *fragments* for this round.
 
-        *fragments* is an ordered sequence of ``(key, formula)`` pairs;
-        fragments keyed like a previous round's and structurally equal to
-        it are reused without re-encoding.  Returns the
-        :class:`SmtResult` for the conjunction.
+        *fragments* is an ordered sequence of ``(key, formula, checks)``
+        triples; fragments keyed like a previous round's and structurally
+        equal to it are reused without re-encoding.  Returns the
+        :class:`SmtResult` for the conjunction, whose model passes every
+        fragment's checks.
         """
         if _faults.ARMED:
             _faults.point("smt.session.solve")
@@ -264,12 +341,16 @@ class IncrementalSmtSession:
         # unchanged (typically everything except the too-small PFA that
         # caused the falsehood) are then reused instead of re-encoded.
         round_unsat = False
-        for key, formula in fragments:
+        for key, formula, checks, frag_steps in fragments:
             if isinstance(formula, BoolConst):
                 if not formula.value:
                     round_unsat = True
-                continue
-            frag, reused = self._install(key, formula)
+                    continue
+                # A fragment folded to TRUE keeps its checks: it is
+                # installed so they run, and a lemma may still refute it.
+                if not checks:
+                    continue
+            frag, reused = self._install(key, formula, checks, frag_steps)
             active.append(frag)
             if reused:
                 reused_clauses += frag.clause_count
@@ -314,12 +395,18 @@ class IncrementalSmtSession:
                 return SmtResult("unsat",
                                  stats={"reused_clauses": reused_clauses})
 
-        theory_vars = set()
-        for frag in active:
-            theory_vars.update(frag.atom_vars)
-        theory_vars = sorted(theory_vars - fixed_vars)
+        def collect_theory_vars():
+            found = set()
+            for frag in active:
+                found.update(frag.atom_vars)
+            return sorted(found - fixed_vars)
+
+        theory_vars = collect_theory_vars()
+        checked = [frag for frag in active if frag.checks]
 
         stats = {"reused_clauses": reused_clauses}
+        if checked:
+            stats["connectivity_lemmas"] = 0
         iterations = 0
         while True:
             iterations += 1
@@ -355,7 +442,17 @@ class IncrementalSmtSession:
                 model = reconstruct_model(result.model, steps)
                 for name in all_vars:
                     model.setdefault(name, 0)
-                return SmtResult("sat", model=model, stats=stats)
+                added = sum(self._add_lemmas(frag, model)
+                            for frag in checked)
+                if not added:
+                    return SmtResult("sat", model=model, stats=stats)
+                stats["connectivity_lemmas"] += added
+                if metrics.enabled:
+                    metrics.add("smt.connectivity_lemmas", added)
+                if self._globally_unsat:
+                    return SmtResult("unsat", stats=stats)
+                theory_vars = collect_theory_vars()
+                continue
             if result.status == "unknown":
                 stats["stopped_by"] = result.reason or "bb-nodes"
                 return SmtResult("unknown", stats=stats)

@@ -252,6 +252,25 @@ class TestBreakersAndFailover:
         assert ticket.result.status == "sat"
         assert router.counters["shard_kills"] == 1
 
+    def test_rerouted_follower_reports_the_survivor(self):
+        router, services = make_router(shards=2)
+        problem = sat_problem()
+        leader = router.submit(problem, name="leader", timeout=30.0)
+        follower = router.submit(problem, name="follower", timeout=30.0)
+        assert follower.coalesced
+        victim = leader.shard
+        survivor = 1 - victim
+        router.kill_shard(victim)
+        # The leader relaunches on the survivor and the follower
+        # coalesces onto that new flight: one solve answers both.
+        assert services[survivor].open_requests == 1
+        services[survivor].finish(status="sat")
+        router.pump()
+        assert leader.result.status == "sat"
+        assert follower.result.status == "sat"
+        assert leader.shard == survivor
+        assert follower.shard == survivor
+
     def test_kill_shard_with_spent_deadline_answers_shutdown(self):
         clock = FakeClock()
         router, services = make_router(shards=2, clock=clock)

@@ -134,8 +134,8 @@ class TestSessionMatchesOneShot:
         session = IncrementalSmtSession(SolverConfig())
         stable = rounds[0]
         for formula in rounds:
-            fragments = [("bounds", BOUNDS), ("stable", stable),
-                         ("round", formula)]
+            fragments = [("bounds", BOUNDS, ()), ("stable", stable, ()),
+                         ("round", formula, ())]
             check_round(session, fragments,
                         conj(BOUNDS, stable, formula))
 
@@ -144,26 +144,27 @@ class TestSessionMatchesOneShot:
     def test_replacing_a_fragment_retires_it(self, first, second):
         """A replaced fragment must stop constraining later rounds."""
         session = IncrementalSmtSession(SolverConfig())
-        check_round(session, [("bounds", BOUNDS), ("frag", first)],
+        check_round(session, [("bounds", BOUNDS, ()), ("frag", first, ())],
                     conj(BOUNDS, first))
-        check_round(session, [("bounds", BOUNDS), ("frag", second)],
+        check_round(session, [("bounds", BOUNDS, ()), ("frag", second, ())],
                     conj(BOUNDS, second))
 
     def test_unsat_round_does_not_poison_session(self):
         session = IncrementalSmtSession(SolverConfig())
         good = conj(ge(X, 1), le(X, 5))
         bad = conj(ge(Y, 3), le(Y, 2))
-        check_round(session, [("a", good)], good)
-        check_round(session, [("a", good), ("b", bad)], conj(good, bad))
-        check_round(session, [("a", good)], good)
+        check_round(session, [("a", good, ())], good)
+        check_round(session, [("a", good, ()), ("b", bad, ())],
+                    conj(good, bad))
+        check_round(session, [("a", good, ())], good)
 
     def test_identical_fragments_reuse_clauses(self):
         session = IncrementalSmtSession(SolverConfig())
         shared = conj(ge(X, 0), le(X + Y, 7), ne(Y, 3))
         metrics = Metrics()
         with scope(None, metrics):
-            session.solve([("s", shared), ("r", ge(Y, 1))])
-            session.solve([("s", shared), ("r", ge(Y, 2))])
+            session.solve([("s", shared, ()), ("r", ge(Y, 1), ())])
+            session.solve([("s", shared, ()), ("r", ge(Y, 2), ())])
         flat = metrics.flat()
         assert flat.get("smt.clauses_reused", 0) > 0
         assert flat.get("smt.fragments_reused", 0) >= 1

@@ -1,5 +1,8 @@
 """End-to-end tests of the full decision procedure (TrauSolver)."""
 
+import os
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
@@ -7,6 +10,10 @@ from repro import (
     to_num_value,
 )
 from repro.logic import conj, eq, ge, gt, le, var
+from repro.obs import Metrics
+from repro.smtlib import load_problem
+
+REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
 
 def solve(builder, timeout=30, **kwargs):
@@ -15,7 +22,9 @@ def solve(builder, timeout=30, **kwargs):
 
 class TestPaperExamples:
     def test_toy_phi(self):
-        """The running example of Section 1."""
+        """The running example of Section 1.  Its equation "0"x = x"0"
+        flattens through a cyclic product whose connectivity is checked
+        on demand, so the lazy loop needs a few dozen iterations."""
         b = ProblemBuilder()
         x, y = b.str_var("x"), b.str_var("y")
         b.equal(("0", x), (x, "0"))
@@ -24,11 +33,13 @@ class TestPaperExamples:
         b.require_int(gt(str_len(y), str_len(x)))
         b.require_int(gt(str_len(x), 1))
         b.require_int(gt(str_len(y), 1000))
-        result = solve(b, timeout=120)
+        metrics = Metrics()
+        result = solve(b, timeout=120, metrics=metrics)
         assert result.status == "sat"
         assert check_model(b.problem, result.model)
         assert len(result.model["y"]) > 1000
         assert set(result.model["x"]) == {"0"}
+        assert metrics.flat()["smt.iterations"] <= 100
 
     def test_tonum_with_padded_length(self):
         """toNum(x) = 10 and |x| = 5 (Section 8's motivating case)."""
@@ -50,6 +61,34 @@ class TestPaperExamples:
         total = digits[1] + (digits[0] * 2 - 9 if digits[0] * 2 > 9
                              else digits[0] * 2)
         assert total % 10 == 0
+
+
+def complement_membership_builder():
+    b = ProblemBuilder()
+    x = b.str_var("x")
+    b.member(x, "[ab]*")
+    b.not_member(x, "a*")
+    b.require_int(ge(str_len(x), 2))
+    return b.problem
+
+
+def complement_membership_file():
+    path = os.path.join(REGRESSIONS, "complement_membership_cycles.smt2")
+    return load_problem(open(path).read()).problem
+
+
+class TestLazyLoopWork:
+    @pytest.mark.parametrize("build", [complement_membership_builder,
+                                       complement_membership_file])
+    def test_complement_membership_needs_few_iterations(self, build):
+        """x in [ab]*, x not in a*, |x| >= 2: both memberships are cyclic
+        products whose connectivity holds on the first model."""
+        problem = build()
+        metrics = Metrics()
+        result = TrauSolver(metrics=metrics).solve(problem, timeout=30)
+        assert result.status == "sat"
+        assert check_model(problem, result.model)
+        assert metrics.flat()["smt.iterations"] <= 20
 
 
 class TestStatuses:

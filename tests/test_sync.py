@@ -1,4 +1,8 @@
-"""Tests for the synchronization formula (paper Section 7, Lemma 7.1)."""
+"""Tests for the synchronization formula (paper Section 7, Lemma 7.1).
+
+Every solve passes the product's connectivity checks along, so cyclic
+products go through the lazy loop's lemma path.
+"""
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +36,7 @@ def domain(pfa):
 def sync_with_word(pfa, nfa, names, word=None):
     """Solve Psi_{PFA x PA(nfa)}, optionally pinning the decoded word."""
     throwaway = pa_of_nfa(nfa, names)
-    formula = synchronization_formula(pfa, throwaway, "s")
+    formula, checks = synchronization_formula(pfa, throwaway, "s")
     if formula is FALSE:
         return None
     full = conj(formula, pfa.psi, pfa.parikh_formula(1000), domain(pfa))
@@ -44,8 +48,7 @@ def sync_with_word(pfa, nfa, names, word=None):
             value = codes[i] if i < len(codes) else EPSILON
             pins.append(eq(var(v), value))
         full = conj(full, *pins)
-    result = solve_formula(full)
-    return result
+    return solve_formula(full, checks=checks)
 
 
 class TestProduct:
@@ -53,9 +56,10 @@ class TestProduct:
         names = NameFactory()
         pfa = straight_pfa(names.char_namer("x"), 2)
         nfa = regex_to_nfa("aaa")    # needs length 3 > 2
-        formula = synchronization_formula(pfa, pa_of_nfa(nfa, names), "s")
-        assert solve_formula(conj(formula, pfa.psi, domain(pfa))).status \
-            == "unsat"
+        formula, checks = synchronization_formula(
+            pfa, pa_of_nfa(nfa, names), "s")
+        assert solve_formula(conj(formula, pfa.psi, domain(pfa)),
+                             checks=checks).status == "unsat"
 
     def test_binding_pruning_shrinks_product(self):
         names = NameFactory()
@@ -80,9 +84,9 @@ class TestProduct:
         names = NameFactory()
         pfa = standard_pfa(names.char_namer("x"), 1, 2)   # (v1 v2)^n
         throwaway = pa_of_nfa(regex_to_nfa("(ab){2}"), names)
-        formula = synchronization_formula(pfa, throwaway, "s", 100)
+        formula, checks = synchronization_formula(pfa, throwaway, "s", 100)
         full = conj(formula, pfa.psi, pfa.parikh_formula(100), domain(pfa))
-        result = solve_formula(full)
+        result = solve_formula(full, checks=checks)
         assert result.status == "sat"
         # The loop must run twice with v1=a, v2=b (or an epsilon-padded
         # equivalent); decode and check.
@@ -93,9 +97,9 @@ class TestProduct:
         names = NameFactory()
         pfa = straight_pfa(names.char_namer("x"), 2)
         throwaway = pa_of_nfa(regex_to_nfa("ab"), names)
-        formula = synchronization_formula(pfa, throwaway, "s")
+        formula, checks = synchronization_formula(pfa, throwaway, "s")
         full = conj(formula, pfa.psi, pfa.parikh_formula(10), domain(pfa))
-        result = solve_formula(full)
+        result = solve_formula(full, checks=checks)
         assert result.status == "sat"
         model = result.model
         # Both chain variables used exactly once.
@@ -116,3 +120,30 @@ class TestAgainstEnumeration:
         expected = nfa.accepts(A.encode_word(text)) and len(text) <= 3
         result = sync_with_word(pfa, nfa, names, text)
         assert (result.status == "sat") == expected
+
+
+class TestLoopProducts:
+    def test_pinned_loop_counts_decode_to_members(self):
+        """Pinning every loop of a looping PFA makes the cyclic product's
+        first flows float (epsilon-valued loop characters idle on a cycle
+        the run never reaches); the lemmas steer the loop to a connected
+        flow, whose decoded word the regex accepts."""
+        lemmas = 0
+        for pattern in ("(ab)*", "a*ba*", "[ab]*c[ab]*"):
+            for k in (1, 2, 3):
+                names = NameFactory()
+                pfa = standard_pfa(names.char_namer("x"), 2, 2)
+                nfa = regex_to_nfa(pattern)
+                formula, checks = synchronization_formula(
+                    pfa, pa_of_nfa(nfa, names), "s", 50)
+                assert checks
+                pins = [eq(var(count_var(loop[0])), k) for loop in pfa.loops
+                        if loop]
+                full = conj(formula, pfa.psi, pfa.parikh_formula(50),
+                            domain(pfa), *pins)
+                result = solve_formula(full, checks=checks)
+                assert result.status == "sat"
+                word = pfa.decode(result.model)
+                assert nfa.accepts(word), (pattern, k, word)
+                lemmas += result.stats["connectivity_lemmas"]
+        assert lemmas > 0
